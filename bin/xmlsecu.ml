@@ -142,7 +142,10 @@ let query_cmd =
         let ids =
           if on_source then Core.Session.query_source session q
           else if rewrite then begin
-            let lv = Core.Lazy_view.of_session session in
+            (* The served read path: one frozen snapshot of the source,
+               so fallbacks run on its visibility oracle too. *)
+            let flat = Xmldoc.Flat.of_document (Core.Session.source session) in
+            let lv = Core.Lazy_view.of_session ~flat session in
             let plan = Core.Rewrite.plan_str q in
             Printf.eprintf "rewrite: %s path\n%!"
               (if Core.Rewrite.compiled plan then "compiled" else "fallback");

@@ -6,24 +6,35 @@
     A lazy view wraps the source database and the user's resolved
     permissions behind the {!Xpath.Source} interface: every axis call
     filters out invisible nodes and remaps position-only labels to
-    [RESTRICTED] on the fly, with per-node memoisation.  Queries
-    evaluated through it return exactly the answers the materialised
-    {!View.derive} view would give — including RESTRICTED labels, the
-    compatibility question §5 raises — but touch only the nodes the
-    query actually visits. *)
+    [RESTRICTED] on the fly.  Queries evaluated through it return
+    exactly the answers the materialised {!View.derive} view would give
+    — including RESTRICTED labels, the compatibility question §5 raises
+    — without building that view.
+
+    Two representations answer the same questions:
+    - {b with a snapshot} ([?flat], what [Serve] always supplies):
+      {!source}, {!select}, {!visible} and {!label} read the snapshot's
+      byte-per-node visibility oracle ({!flat_visibility}).  Axes run on
+      {!Xmldoc.Flat} index arrays and jump over hidden subtrees via
+      [subtree_end]; the label index is available to descendant name
+      tests (RESTRICTED answers from a scan, as position-only nodes
+      carry that name only in the view).  The memo is never touched.
+    - {b without one}: every axis call runs on the node map and decides
+      visibility per node, memoised by ordpath — the demand-driven form
+      whose work {!probed_nodes} measures. *)
 
 type t
 
 val create : ?flat:Xmldoc.Flat.t -> Xmldoc.Document.t -> Perm.t -> t
-(** [?flat], when given, must be a frozen snapshot of the document; the
-    compiled read path ({!Rewrite.select}) then folds the columnar
-    arrays instead of the node map. *)
+(** [?flat], when given, must be a frozen snapshot of the document;
+    every read then runs on it (see above), and the compiled read path
+    ({!Rewrite.select}) folds its columnar arrays. *)
 
 val of_session : ?flat:Xmldoc.Flat.t -> Session.t -> t
 
 val visible : t -> Ordpath.t -> bool
-(** Memoised: the node and all its ancestors are selected by
-    axioms 15–17. *)
+(** The node and all its ancestors are selected by axioms 15–17: an
+    oracle lookup with a snapshot, memoised otherwise. *)
 
 val label : t -> Ordpath.t -> string option
 (** The view label: the source label under [read], [RESTRICTED] under
@@ -45,12 +56,14 @@ val flat_visibility : t -> (Xmldoc.Flat.t * Bytes.t) option
 (** The snapshot paired with its byte-per-index visibility oracle
     ({!Perm.flat_visibility}): byte [i] is [0] (hidden), [1] (visible,
     source label) or [2] (visible as RESTRICTED).  Built on first demand
-    and cached until the next {!rebase}; [None] without a snapshot. *)
+    and cached; a {!rebase} keeps it only across an empty delta onto the
+    physically same snapshot.  [None] without a snapshot. *)
 
 val remap : t -> Xmldoc.Node.t -> Xmldoc.Node.t
 (** The node as the view presents it: unchanged under [read], label
     replaced by [RESTRICTED] under position-only.  Does {e not} check
-    {!visible} — pair it with a visibility test. *)
+    {!visible} — pair it with a visibility test.  Decided from the
+    permission store, for the flat-less compiled read path. *)
 
 val select :
   ?vars:(string * Xpath.Value.t) list -> t -> Xpath.Ast.expr ->
@@ -64,7 +77,8 @@ val materialize : t -> Xmldoc.Document.t
 
 val probed_nodes : t -> int
 (** How many distinct nodes have had their visibility decided so far —
-    the work-saving measure the E13 bench reports. *)
+    the work-saving measure the E13 bench reports.  Always [0] with a
+    snapshot, whose oracle decides every node at once. *)
 
 val rebase :
   ?flat:Xmldoc.Flat.t -> t -> Xmldoc.Document.t -> Perm.t -> Delta.t -> t
@@ -75,11 +89,14 @@ val rebase :
     session whose rules are downward — widen to {!Delta.all} otherwise,
     e.g. when {!Session.policy_local} is false).  The memo table is
     shared, not copied: the old value must not be used after a rebase.
-    Hit/miss counters survive the rebase. *)
+    Hit/miss counters survive the rebase.  The visibility oracle
+    survives only an empty delta onto the physically same snapshot —
+    e.g. a policy commit that moved no read or position decision
+    ({!Session.apply_policy}); any other rebase rebuilds it on demand. *)
 
 val hits : t -> int
 (** Memo lookups answered from the cache since creation (or the last
-    {!reset_stats}). *)
+    {!reset_stats}); flat-less views only. *)
 
 val misses : t -> int
 (** Memo lookups that had to decide visibility afresh. *)

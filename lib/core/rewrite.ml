@@ -6,10 +6,11 @@
    feeds the automaton the view labels (RESTRICTED under position-only),
    so name tests can neither match what the user must not read nor miss
    what the view renames.  Queries outside the downward fragment fall
-   back to the memoised Lazy_view evaluator, which enforces the same
-   axioms per axis call.  Both paths return exactly what evaluating the
-   query on the View.derive materialisation would — the property
-   test/test_rewrite.ml pins down differentially. *)
+   back to the general evaluator over the Lazy_view source, which
+   enforces the same axioms per axis call (on the snapshot's visibility
+   oracle when there is one).  Both paths return exactly what
+   evaluating the query on the View.derive materialisation would — the
+   property test/test_rewrite.ml pins down differentially. *)
 
 let m_compiled =
   Obs.Metrics.counter Obs.Metrics.default "rewrite_compiled_total"
@@ -67,19 +68,17 @@ let select ?vars ?stats t lv =
                ~init:[] ~f))
   | None ->
     Obs.Metrics.inc m_fallback;
-    (* No automaton on this path; approximate "visited" by the delta in
-       memoised visibility probes the evaluation forces. *)
-    let before =
+    (* No automaton on this path: "visited" counts the nodes the view's
+       source hands to the evaluator. *)
+    let src = Lazy_view.source lv in
+    let src =
       match stats with
-      | Some _ -> Lazy_view.probed_nodes lv
-      | None -> 0
+      | Some s ->
+        Xpath.Source.counting
+          (fun k -> s.Xpath.Compile.visited <- s.Xpath.Compile.visited + k)
+          src
+      | None -> src
     in
-    let ids = Lazy_view.select ?vars lv t.expr in
-    (match stats with
-    | Some s ->
-      s.Xpath.Compile.visited <-
-        s.Xpath.Compile.visited + (Lazy_view.probed_nodes lv - before)
-    | None -> ());
-    ids
+    Xpath.Eval.select (Xpath.Eval.env_of_source ?vars src) t.expr
 
 let select_str ?vars lv src = select ?vars (plan_str src) lv

@@ -8,8 +8,12 @@
     label remapping as the view callback — hidden subtrees are pruned
     wholesale and position-only nodes present their [RESTRICTED] label to
     the automaton's name tests.  Non-downward queries (predicates, upward
-    axes, [$USER]) fall back to {!Lazy_view.select}, which enforces the
-    same axioms per axis call.  Either way the answers are exactly those
+    axes, [$USER]) fall back to the general evaluator over
+    {!Lazy_view.source}, which enforces the same axioms per axis call —
+    on the snapshot and its visibility oracle when the lazy view has one
+    (where [//a[b]] answers from the label index, see
+    {!Xpath.Eval.select}), on the memoised node map otherwise.  Either
+    way the answers are exactly those
     of evaluating the query on the {!View.derive} materialisation, in
     document order — the equivalence [test/test_rewrite.ml] checks
     differentially on seeded (policy, document, query) triples.
@@ -41,9 +45,9 @@ val select :
     variable-free by construction.  [?stats] fills traversal counters for
     plan explainability: on the compiled path exactly as
     {!Xpath.Compile.fold_view} defines them; on the fallback path
-    [visited] is the number of fresh visibility probes the evaluation
-    forced ([states] and [pruned] stay untouched — there is no automaton
-    product). *)
+    [visited] is the number of nodes the view's source handed to the
+    evaluator ({!Xpath.Source.counting}; [states] and [pruned] stay
+    untouched — there is no automaton product). *)
 
 val select_str :
   ?vars:(string * Xpath.Value.t) list -> Lazy_view.t -> string ->

@@ -124,12 +124,24 @@ let refresh ?(quiet = false) ?flat t source =
       in
       { t with source; perm; view })
 
+(* The applicable rules the view depends on: axioms 15-17 read only the
+   read and position decisions. *)
+let view_rules policy ~user =
+  List.filter
+    (fun (r : Rule.t) ->
+      match r.privilege with
+      | Privilege.Read | Privilege.Position -> true
+      | Privilege.Insert | Privilege.Update | Privilege.Delete -> false)
+    (Policy.rules_for policy ~user)
+
 (* Policy churn: the source is unchanged, the rule list is not.  The
    perm store hands back exactly the delta it re-resolved, so the view
    is patched over the same range; a session whose applicable rules are
-   untouched pays two list comparisons.  [quiet] serves Txn staging like
-   in {!apply_delta}: an aborted transaction must leave the registry
-   bit-for-bit untouched. *)
+   untouched pays two list comparisons.  When only write rules moved,
+   the read and position decisions -- and with them the view -- cannot
+   have changed, so the view is kept and the delta is empty.  [quiet]
+   serves Txn staging like in {!apply_delta}: an aborted transaction
+   must leave the registry bit-for-bit untouched. *)
 let apply_policy ?(quiet = false) ?flat t policy =
   if t.policy == policy then (t, Delta.empty)
   else begin
@@ -139,6 +151,17 @@ let apply_policy ?(quiet = false) ?flat t policy =
           Perm.update_policy ?flat t.perm ~old_policy:t.policy policy t.source)
     in
     let local = Delta.local_rules (Policy.rules_for policy ~user:t.user) in
+    let delta =
+      match delta with
+      | Delta.Local [] -> delta
+      | Delta.All | Delta.Local _ ->
+        if
+          List.equal Rule.equal
+            (view_rules t.policy ~user:t.user)
+            (view_rules policy ~user:t.user)
+        then Delta.empty
+        else delta
+    in
     match delta with
     | Delta.Local [] ->
       count m_delta_noop;

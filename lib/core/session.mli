@@ -67,8 +67,13 @@ val apply_policy :
     delta (re-derived in full only when a non-downward rule forces it).
     The returned delta is what a lazy view must invalidate.  A session
     whose applicable rules are untouched by the change costs two rule
-    list comparisons and no view work.  [?flat], when given, must be the
-    frozen snapshot of the session's current source. *)
+    list comparisons and no view work.  The view depends on read and
+    position decisions only (axioms 15–17): when the user's applicable
+    read and position rules are unchanged — only insert, update or
+    delete rules moved — the permissions are still re-resolved, but the
+    view is kept physically and the returned delta is empty.  [?flat],
+    when given, must be the frozen snapshot of the session's current
+    source. *)
 
 val policy_local : t -> bool
 (** Are all the rules applicable to this session downward paths

@@ -58,6 +58,34 @@ let test_matches axis (test : node_test) (n : Xmldoc.Node.t) =
   | Star -> n.kind = principal_kind
   | Name name -> n.kind = principal_kind && String.equal n.label name
 
+(* The rewrite guard of [eval_steps]: can a predicate's outcome depend on
+   the context position or size?  A number-valued predicate is compared
+   with the position ([//a[1]]), and only [position()] and [last()] read
+   position or size; a predicate nested in a step or a filter binds its
+   own context, so calls inside it do not count.  Anything that might
+   evaluate to a number -- a number literal, arithmetic, negation, a
+   variable, a numeric or unknown function -- counts as positional. *)
+let non_numeric_functions =
+  [ "boolean"; "not"; "true"; "false"; "starts-with"; "contains"; "string";
+    "concat"; "substring-before"; "substring-after"; "substring";
+    "normalize-space"; "translate"; "name"; "local-name" ]
+
+let rec reads_position = function
+  | Call (("position" | "last"), _) -> true
+  | Call (_, args) -> List.exists reads_position args
+  | Or (a, b) | And (a, b) | Cmp (_, a, b) | Arith (_, a, b) | Union (a, b) ->
+    reads_position a || reads_position b
+  | Neg e | Filter (e, _, _) -> reads_position e
+  | Path _ | Literal _ | Number _ | Var _ -> false
+
+let positional pred =
+  reads_position pred
+  ||
+  match pred with
+  | Path _ | Union _ | Filter _ | Cmp _ | And _ | Or _ | Literal _ -> false
+  | Call (f, _) -> not (List.mem f non_numeric_functions)
+  | Arith _ | Neg _ | Number _ | Var _ -> true
+
 let rec eval_expr env ctx expr : Value.t =
   match expr with
   | Or (a, b) ->
@@ -119,6 +147,16 @@ and eval_path env ctx { absolute; steps } =
 and eval_steps env start steps =
   match steps with
   | [] -> [ start ]
+  | { axis = Descendant_or_self; test = Node_test; preds = [] }
+    :: ({ axis = Child; test = Name _; preds } as step)
+    :: rest
+    when not (List.exists positional preds) ->
+    (* [//NAME[p]] without positional predicates: the NAME children of
+       every descendant-or-self node are exactly the NAME descendants,
+       and [p] sees no position or size, so one descendant step selects
+       the same nodes -- from the label index when the source has one,
+       instead of one child list per node. *)
+    eval_steps env start ({ step with axis = Descendant } :: rest)
   | step :: rest ->
     let here = eval_step env start step in
     let next = List.concat_map (fun id -> eval_steps env id rest) here in

@@ -24,6 +24,15 @@ val eval : env -> context:Ordpath.t -> Ast.expr -> Value.t
 val select : env -> Ast.expr -> Ordpath.t list
 (** Evaluates an expression with the document node as context and returns
     the selected nodes in document order.
+
+    [descendant-or-self::node()/child::NAME[p...]] (the expansion of
+    [//NAME[p...]]) is evaluated as [descendant::NAME[p...]] when no
+    predicate is positional, so it answers from the source's label index
+    when there is one.  A predicate is non-positional when it is a path,
+    union, comparison, [and]/[or], string literal or call to a boolean-
+    or string-valued core function, and calls neither [position()] nor
+    [last()] outside a nested predicate; [//a[1]] keeps its meaning, the
+    first [a] child of each parent.
     @raise Error if the result is not a node-set. *)
 
 val select_str : ?vars:(string * Value.t) list ->

@@ -55,3 +55,31 @@ let of_document doc =
     string_value = D.string_value doc;
     by_label = Some (D.labelled doc);
   }
+
+let counting note src =
+  let many f id =
+    let ns = f id in
+    note (List.length ns);
+    ns
+  in
+  let one f id =
+    let n = f id in
+    if Option.is_some n then note 1;
+    n
+  in
+  {
+    find = one src.find;
+    children = many src.children;
+    parent = one src.parent;
+    descendants = many src.descendants;
+    descendant_or_self = many src.descendant_or_self;
+    ancestors = many src.ancestors;
+    ancestor_or_self = many src.ancestor_or_self;
+    following_siblings = many src.following_siblings;
+    preceding_siblings = many src.preceding_siblings;
+    following = many src.following;
+    preceding = many src.preceding;
+    attributes = many src.attributes;
+    string_value = src.string_value;
+    by_label = Option.map many src.by_label;
+  }

@@ -32,3 +32,8 @@ val of_flat : Xmldoc.Flat.t -> t
 (** A source over a flat columnar snapshot ({!Xmldoc.Flat}): axis
     answers coincide with {!of_document} over the frozen document, but
     run on index arrays instead of map walks. *)
+
+val counting : (int -> unit) -> t -> t
+(** [counting note src] answers exactly like [src] and calls [note k]
+    whenever a call hands [k] nodes to the evaluator: the traversal work
+    of an evaluation, for read paths with no automaton to count. *)

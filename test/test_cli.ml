@@ -74,6 +74,40 @@ let test_query () =
   Alcotest.(check int) "exit 0" 0 code;
   check_contains "restricted query" output "1 node(s)"
 
+(* A predicate query through --rewrite takes the fallback over the
+   snapshot and must print exactly the nodes the view evaluation prints;
+   the path note goes to stderr and is dropped before comparing. *)
+let test_query_rewrite () =
+  let data f =
+    Filename.concat (Filename.concat ".." "examples") ("data/" ^ f)
+  in
+  let query extra user =
+    let code, output =
+      run
+        ([ "query"; "-d"; data "patients.xml"; "-p"; data "hospital.acl";
+           "-u"; user ]
+        @ extra @ [ "//robert[diagnosis]" ])
+    in
+    Alcotest.(check int) "exit 0" 0 code;
+    List.filter
+      (fun l -> not (contains l "rewrite: "))
+      (String.split_on_char '\n' output)
+  in
+  let code, output =
+    run
+      [ "query"; "--rewrite"; "-d"; data "patients.xml"; "-p";
+        data "hospital.acl"; "-u"; "laporte"; "//robert[diagnosis]" ]
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  check_contains "rewrite" output "rewrite: fallback path";
+  check_contains "rewrite" output "1 node(s)";
+  List.iter
+    (fun user ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "--rewrite = view evaluation for %s" user)
+        (query [] user) (query [ "--rewrite" ] user))
+    [ "laporte"; "beaufort"; "robert"; "franck"; "richard" ]
+
 let test_update () =
   let doc = doc_file () and policy = policy_file () in
   let xupdate =
@@ -312,6 +346,7 @@ let () =
           Alcotest.test_case "demo" `Quick test_demo;
           Alcotest.test_case "view" `Quick test_view;
           Alcotest.test_case "query" `Quick test_query;
+          Alcotest.test_case "query --rewrite" `Quick test_query_rewrite;
           Alcotest.test_case "update" `Quick test_update;
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "check" `Quick test_check;

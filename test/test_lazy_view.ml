@@ -1,6 +1,8 @@
 (* Tests for the lazy (query-filtering) view of §5: every query answered
    through the virtual source must agree with the materialised view, while
-   touching fewer nodes. *)
+   touching fewer nodes.  Both representations are checked: the
+   flat-less, memoised one and the snapshot-backed one that reads the
+   visibility oracle. *)
 
 open Xmldoc
 module P = Core.Paper_example
@@ -25,19 +27,27 @@ let queries =
     "//diagnosis/..";
   ]
 
+(* The two representations of one session's lazy view. *)
+let lazy_views session =
+  let flat = Flat.of_document (Core.Session.source session) in
+  [ ("flat-less", Core.Lazy_view.of_session session);
+    ("snapshot", Core.Lazy_view.of_session ~flat session) ]
+
 let agree_on_paper_example user =
   let session = P.login user in
-  let lazy_view = Core.Lazy_view.of_session session in
   let materialized = Core.Session.view session in
   List.iter
-    (fun q ->
-      let via_lazy = Core.Lazy_view.select_str lazy_view q in
-      let via_view = Xpath.Eval.select_str materialized q in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s for %s" q user)
-        (List.map Ordpath.to_string via_view)
-        (List.map Ordpath.to_string via_lazy))
-    queries
+    (fun (kind, lazy_view) ->
+      List.iter
+        (fun q ->
+          let via_lazy = Core.Lazy_view.select_str lazy_view q in
+          let via_view = Xpath.Eval.select_str materialized q in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s for %s (%s)" q user kind)
+            (List.map Ordpath.to_string via_view)
+            (List.map Ordpath.to_string via_lazy))
+        queries)
+    (lazy_views session)
 
 let test_agreement_secretary () = agree_on_paper_example P.beaufort
 let test_agreement_patient () = agree_on_paper_example P.robert
@@ -46,20 +56,25 @@ let test_agreement_doctor () = agree_on_paper_example P.laporte
 
 let test_labels_and_visibility () =
   let session = P.login P.beaufort in
-  let lv = Core.Lazy_view.of_session session in
   let doc = Core.Session.source session in
   let tonsillitis = P.find doc "tonsillitis" in
   let franck = P.find doc "franck" in
-  Alcotest.(check (option string)) "restricted label" (Some "RESTRICTED")
-    (Core.Lazy_view.label lv tonsillitis);
-  Alcotest.(check (option string)) "plain label" (Some "franck")
-    (Core.Lazy_view.label lv franck);
   let robert_session = P.login P.robert in
-  let lv2 = Core.Lazy_view.of_session robert_session in
-  Alcotest.(check bool) "franck invisible to robert" false
-    (Core.Lazy_view.visible lv2 franck);
-  Alcotest.(check (option string)) "no label for invisible nodes" None
-    (Core.Lazy_view.label lv2 franck)
+  List.iter2
+    (fun (kind, lv) (_, lv2) ->
+      Alcotest.(check (option string)) ("restricted label, " ^ kind)
+        (Some "RESTRICTED")
+        (Core.Lazy_view.label lv tonsillitis);
+      Alcotest.(check (option string)) ("plain label, " ^ kind) (Some "franck")
+        (Core.Lazy_view.label lv franck);
+      Alcotest.(check (option string)) ("document label, " ^ kind) (Some "/")
+        (Core.Lazy_view.label lv Ordpath.document);
+      Alcotest.(check bool) ("franck invisible to robert, " ^ kind) false
+        (Core.Lazy_view.visible lv2 franck);
+      Alcotest.(check (option string)) ("no label for invisible nodes, " ^ kind)
+        None
+        (Core.Lazy_view.label lv2 franck))
+    (lazy_views session) (lazy_views robert_session)
 
 let test_string_values_match () =
   (* string-value seen through the lazy view must match the materialised
@@ -67,17 +82,19 @@ let test_string_values_match () =
   List.iter
     (fun user ->
       let session = P.login user in
-      let lv = Core.Lazy_view.of_session session in
       let view = Core.Session.view session in
-      let src = Core.Lazy_view.source lv in
-      Document.iter
-        (fun (n : Node.t) ->
-          Alcotest.(check string)
-            (Printf.sprintf "string-value of %s for %s"
-               (Ordpath.to_string n.id) user)
-            (Document.string_value view n.id)
-            (src.Xpath.Source.string_value n.id))
-        view)
+      List.iter
+        (fun (kind, lv) ->
+          let src = Core.Lazy_view.source lv in
+          Document.iter
+            (fun (n : Node.t) ->
+              Alcotest.(check string)
+                (Printf.sprintf "string-value of %s for %s (%s)"
+                   (Ordpath.to_string n.id) user kind)
+                (Document.string_value view n.id)
+                (src.Xpath.Source.string_value n.id))
+            view)
+        (lazy_views session))
     [ P.beaufort; P.richard; P.robert ]
 
 let test_materialize_equals_view () =
@@ -106,6 +123,121 @@ let test_probes_fewer_nodes () =
     (Printf.sprintf "probed %d of %d nodes" probed total)
     true
     (probed < total / 2)
+
+(* The snapshot's visibility oracle is rebuilt on every rebase except
+   an empty one onto the physically same snapshot. *)
+let test_oracle_survival () =
+  let session = P.login P.beaufort in
+  let doc = Core.Session.source session and perm = Core.Session.perm session in
+  let flat = Flat.of_document doc in
+  let lv = Core.Lazy_view.create ~flat doc perm in
+  let bytes lv =
+    match Core.Lazy_view.flat_visibility lv with
+    | Some (_, b) -> b
+    | None -> Alcotest.fail "no oracle on a snapshot-backed view"
+  in
+  let b0 = bytes lv in
+  let lv = Core.Lazy_view.rebase ~flat lv doc perm Core.Delta.empty in
+  Alcotest.(check bool) "empty delta, same snapshot: kept" true
+    (bytes lv == b0);
+  let refrozen = Flat.of_document doc in
+  let lv' =
+    Core.Lazy_view.rebase ~flat:refrozen lv doc perm Core.Delta.empty
+  in
+  let b1 = bytes lv' in
+  Alcotest.(check bool) "another snapshot: rebuilt" false (b1 == b0);
+  Alcotest.(check bool) "rebuilt equal on an equal snapshot" true
+    (Bytes.equal b1 b0);
+  let lv =
+    Core.Lazy_view.rebase ~flat lv' doc perm
+      (Core.Delta.of_roots [ P.find doc "franck" ])
+  in
+  Alcotest.(check bool) "non-empty delta: rebuilt" false (bytes lv == b1);
+  Alcotest.(check int) "the snapshot path never probes the memo" 0
+    (Core.Lazy_view.probed_nodes lv)
+
+(* Every axis of the snapshot-backed source, at every node of the view,
+   answers exactly like the materialised view's own source: same nodes,
+   same order, same (remapped) labels.  Hidden nodes are not found. *)
+let test_snapshot_axes () =
+  for seed = 0 to 39 do
+    let config =
+      { Workload.Gen_doc.patients = 2 + (seed mod 4);
+        visits_per_patient = seed mod 3; diagnosed_fraction = 0.7; seed }
+    in
+    let doc = Workload.Gen_doc.generate config in
+    let policy =
+      Workload.Gen_policy.random
+        { Workload.Gen_policy.rules = 4 + (seed mod 6); deny_fraction = 0.3;
+          seed }
+    in
+    let session = Core.Session.login policy doc ~user:"u" in
+    let view = Core.Session.view session in
+    let flat = Flat.of_document doc in
+    let got = Core.Lazy_view.source (Core.Lazy_view.of_session ~flat session) in
+    let want = Xpath.Source.of_document view in
+    let show ns =
+      List.map
+        (fun (n : Node.t) ->
+          Printf.sprintf "%s:%s" (Ordpath.to_string n.id) n.label)
+        ns
+    in
+    let check what id f =
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: %s of %s" seed what (Ordpath.to_string id))
+        (show (f want id)) (show (f got id))
+    in
+    let one f src id = Option.to_list (f src id) in
+    Document.iter
+      (fun (n : Node.t) ->
+        let id = n.id in
+        check "find" id (one (fun s -> s.Xpath.Source.find));
+        check "parent" id (one (fun s -> s.Xpath.Source.parent));
+        List.iter
+          (fun (what, f) -> check what id f)
+          Xpath.Source.
+            [ ("children", fun s -> s.children);
+              ("descendants", fun s -> s.descendants);
+              ("descendant-or-self", fun s -> s.descendant_or_self);
+              ("ancestors", fun s -> s.ancestors);
+              ("ancestor-or-self", fun s -> s.ancestor_or_self);
+              ("following-siblings", fun s -> s.following_siblings);
+              ("preceding-siblings", fun s -> s.preceding_siblings);
+              ("following", fun s -> s.following);
+              ("preceding", fun s -> s.preceding);
+              ("attributes", fun s -> s.attributes) ];
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d: string-value of %s" seed
+             (Ordpath.to_string id))
+          (want.Xpath.Source.string_value id)
+          (got.Xpath.Source.string_value id))
+      view;
+    Document.iter
+      (fun (n : Node.t) ->
+        if not (Document.mem view n.id) then
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: hidden %s not found" seed
+               (Ordpath.to_string n.id))
+            true
+            (got.Xpath.Source.find n.id = None))
+      doc;
+    let labels =
+      Core.View.restricted :: "absent"
+      :: Document.fold (fun (n : Node.t) acc -> n.label :: acc) doc []
+      |> List.sort_uniq String.compare
+    in
+    let by_label src l =
+      match src.Xpath.Source.by_label with
+      | Some f -> show (f l)
+      | None -> Alcotest.fail "no label index"
+    in
+    List.iter
+      (fun l ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "seed %d: by_label %s" seed l)
+          (by_label want l) (by_label got l))
+      labels
+  done
 
 (* Differential property over random documents, policies and queries. *)
 let label_pool = [ "a"; "b"; "c"; "d" ]
@@ -151,9 +283,10 @@ let prop_lazy_equals_materialized =
           { rules = 8; deny_fraction = 0.4; seed }
       in
       let session = Core.Session.login policy doc ~user:"u" in
-      let lv = Core.Lazy_view.of_session session in
-      Core.Lazy_view.select_str lv q
-      = Xpath.Eval.select_str (Core.Session.view session) q)
+      let want = Xpath.Eval.select_str (Core.Session.view session) q in
+      List.for_all
+        (fun (_, lv) -> Core.Lazy_view.select_str lv q = want)
+        (lazy_views session))
 
 let () =
   Alcotest.run "lazy_view"
@@ -166,6 +299,7 @@ let () =
             test_agreement_epidemiologist;
           Alcotest.test_case "doctor" `Quick test_agreement_doctor;
           Alcotest.test_case "string values" `Quick test_string_values_match;
+          Alcotest.test_case "snapshot source axes" `Quick test_snapshot_axes;
           Alcotest.test_case "materialize" `Quick test_materialize_equals_view;
         ] );
       ( "laziness",
@@ -173,6 +307,8 @@ let () =
           Alcotest.test_case "labels and visibility" `Quick
             test_labels_and_visibility;
           Alcotest.test_case "probes fewer nodes" `Quick test_probes_fewer_nodes;
+          Alcotest.test_case "oracle survives only empty same-snapshot rebases"
+            `Quick test_oracle_survival;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_lazy_equals_materialized ] );

@@ -830,6 +830,10 @@ let test_planlog_live () =
       p2.Obs.Planlog.compiled;
     Alcotest.(check int) "fallback found the diagnoses" 2
       p2.Obs.Planlog.answers;
+    (* The snapshot-backed fallback never probes the memo; its work is
+       the nodes the view source handed to the evaluator. *)
+    Alcotest.(check bool) "fallback path reports traversal work" true
+      (p2.Obs.Planlog.visited > 0);
     Alcotest.(check int) "threshold 0 routes both to the slow ring" 2
       (List.length (Obs.Planlog.slow ()))
   | l -> Alcotest.failf "expected two plans, got %d" (List.length l)

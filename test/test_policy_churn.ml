@@ -401,6 +401,127 @@ let test_serve_split_merge () =
        "//d[text() = 'cured']"
      <> [])
 
+(* A view depends on read and position decisions only (axioms 15-17).
+   A policy commit that moves only update, insert or delete rules must
+   keep every class's materialised view and its snapshot visibility
+   bytes physically ([==]); a read-rule commit rebuilds both for the
+   class it touches and keeps the others; a document commit rebuilds
+   both everywhere.  Throughout, every class answers like a fresh
+   login. *)
+let test_visibility_survival () =
+  let config =
+    { Workload.Gen_doc.patients = 6; visits_per_patient = 2;
+      diagnosed_fraction = 0.8; seed = 7 }
+  in
+  let doc = Workload.Gen_doc.generate config in
+  let subjects =
+    Core.Subject.of_list
+      [ (Core.Subject.Role, "staff", []);
+        (Core.Subject.Role, "secretary", [ "staff" ]);
+        (Core.Subject.Role, "doctor", [ "staff" ]);
+        (Core.Subject.User, "sec", [ "secretary" ]);
+        (Core.Subject.User, "doc", [ "doctor" ]);
+        (Core.Subject.User, "ed", [ "staff" ]) ]
+  in
+  let open Core.Privilege in
+  let rule d p path subject priority =
+    Core.Rule.v d p ~path ~subject ~priority
+  in
+  let policy =
+    Core.Policy.v subjects
+      [ rule Core.Rule.Accept Read "//node()" "staff" 1;
+        rule Core.Rule.Deny Read "//diagnosis/node()" "secretary" 2;
+        rule Core.Rule.Accept Position "//diagnosis/node()" "secretary" 3;
+        rule Core.Rule.Accept Update "//node()" "staff" 4;
+        rule Core.Rule.Accept Insert "//node()" "doctor" 5;
+        rule Core.Rule.Accept Delete "//note" "doctor" 6 ]
+  in
+  let users = [ "sec"; "doc"; "ed" ] in
+  let serve = Core.Serve.create policy doc in
+  Core.Serve.login_many serve users;
+  Alcotest.(check int) "three classes" 3 (Core.Serve.classes serve);
+  let state user =
+    let bytes =
+      match
+        Core.Lazy_view.flat_visibility (Core.Serve.lazy_view serve ~user)
+      with
+      | Some (_, bytes) -> bytes
+      | None -> Alcotest.fail "served lazy views carry a snapshot"
+    in
+    (Core.Serve.view serve ~user, bytes)
+  in
+  let check_fresh stage =
+    List.iter
+      (fun user ->
+        let fresh =
+          Core.Session.login (Core.Serve.policy serve)
+            (Core.Serve.source serve) ~user
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: view of %s = fresh login" stage user)
+          true
+          (D.equal (Core.Serve.view serve ~user) (Core.Session.view fresh));
+        List.iter
+          (fun q ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: %s for %s = fresh login" stage q user)
+              (List.map Ordpath.to_string (Core.Session.query fresh q))
+              (List.map Ordpath.to_string (Core.Serve.query serve ~user q)))
+          [ "//node()"; "//visit[diagnosis]"; "//RESTRICTED"; "//visit[1]" ])
+      users
+  in
+  let commit ops =
+    match Core.Serve.commit_ops serve ~user:"ed" ops with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Core.Txn.error_to_string e)
+  in
+  let add d p path subject =
+    Core.Op.Policy
+      (Core.Op.Add_rule
+         (rule d p path subject (Core.Serve.fresh_priority serve)))
+  in
+  let expect stage ~kept before =
+    List.iter2
+      (fun user (view, bytes) ->
+        let view', bytes' = state user in
+        let keep = List.mem user kept in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: view of %s %s" stage user
+             (if keep then "kept" else "rebuilt"))
+          keep (view' == view);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: visibility bytes of %s %s" stage user
+             (if keep then "kept" else "rebuilt"))
+          keep (bytes' == bytes))
+      users before
+  in
+  let before = List.map state users in
+  (* Write rules only, one per class and one for all of them. *)
+  commit [ add Core.Rule.Deny Update "//service" "secretary" ];
+  commit
+    [ add Core.Rule.Deny Insert "//visit" "doctor";
+      add Core.Rule.Deny Delete "//note" "staff" ];
+  expect "write-rule commits" ~kept:users before;
+  let service =
+    List.hd (Core.Session.query_source (Core.Serve.session serve ~user:"sec")
+               "//service")
+  in
+  Alcotest.(check bool) "the write rules were still resolved" false
+    (Core.Session.holds (Core.Serve.session serve ~user:"sec") Update service);
+  check_fresh "write-rule commits";
+  let before = List.map state users in
+  commit [ add Core.Rule.Deny Read "//note" "secretary" ];
+  expect "read-rule commit" ~kept:[ "doc"; "ed" ] before;
+  check_fresh "read-rule commit";
+  let before = List.map state users in
+  commit [ add Core.Rule.Accept Position "//note" "secretary" ];
+  expect "position-rule commit" ~kept:[ "doc"; "ed" ] before;
+  check_fresh "position-rule commit";
+  let before = List.map state users in
+  commit [ Core.Op.Doc (Op.update "//service" "cardiology") ];
+  expect "document commit" ~kept:[] before;
+  check_fresh "document commit"
+
 (* ------------------------------------------------------------------ *)
 (* (d) every-byte-prefix recovery of a mixed journal                   *)
 (* ------------------------------------------------------------------ *)
@@ -612,6 +733,8 @@ let () =
         [
           Alcotest.test_case "split and merge keep views and queries exact"
             `Quick test_serve_split_merge;
+          Alcotest.test_case "visibility survives write-rule commits only"
+            `Quick test_visibility_survival;
         ] );
       ( "recovery",
         [

@@ -3,8 +3,11 @@
    the query evaluated directly on the shared source in product with the
    user's visibility — must equal evaluating the same query on the
    View.derive materialisation, the definitional semantics of axioms
-   15-17.  Failures shrink to a minimal triple (Test_support.Shrink) and
-   are saved under $XMLSECU_SHRINK_DIR for the CI artifact upload.
+   15-17.  Both lazy-view representations (snapshot-backed and flat-less)
+   are checked, and the oracle evaluates the query's rewrite-free form,
+   so it does not share the evaluator's [//NAME[p]] rewrite.  Failures
+   shrink to a minimal triple (Test_support.Shrink) and are saved under
+   $XMLSECU_SHRINK_DIR for the CI artifact upload.
 
    XMLSECU_REWRITE_SEED overrides the base seed so CI can sweep extra
    seeds without recompiling. *)
@@ -60,33 +63,75 @@ let random_case seed =
   in
   (doc, policy)
 
-(* Per case: a random query mix (downward and not), plus two fixed probes
-   — the RESTRICTED relabel (compiled path) and a $USER query (fallback
-   path, per-session variable binding). *)
+(* Per case: a random query mix (downward and not), plus fixed probes —
+   the RESTRICTED relabel (compiled path), a $USER query (fallback path,
+   per-session variable binding), and positional predicates under [//],
+   which the evaluator must not turn into descendant steps
+   ([//visit[count(date) > 0]] is a comparison, so it may). *)
 let queries_for seed =
   Workload.Gen_query.random ~seed ~count:4
-  @ [ "//RESTRICTED"; "/patients/*[name() = $USER]" ]
+  @ [ "//RESTRICTED"; "/patients/*[name() = $USER]"; "//visit[1]";
+      "//visit[last()]"; "//visit[position() > 1]"; "//*[2]";
+      "//visit[count(date) > 0]"; "//RESTRICTED[1]" ]
 
 (* ------------------------------------------------------------------ *)
 (* The differential oracle                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The rewrite-free form: a [self::node()] step spliced after every
+   [descendant-or-self::node()] step selects the same nodes but never
+   matches the evaluator's [//NAME[p]] -> [descendant::NAME[p]] pattern. *)
+let rec no_rewrite (e : Xpath.Ast.expr) : Xpath.Ast.expr =
+  let open Xpath.Ast in
+  let steps =
+    List.concat_map (fun (s : step) ->
+        let s = { s with preds = List.map no_rewrite s.preds } in
+        match s with
+        | { axis = Descendant_or_self; test = Node_test; _ } ->
+          [ s; { axis = Self; test = Node_test; preds = [] } ]
+        | _ -> [ s ])
+  in
+  match e with
+  | Or (a, b) -> Or (no_rewrite a, no_rewrite b)
+  | And (a, b) -> And (no_rewrite a, no_rewrite b)
+  | Cmp (op, a, b) -> Cmp (op, no_rewrite a, no_rewrite b)
+  | Arith (op, a, b) -> Arith (op, no_rewrite a, no_rewrite b)
+  | Neg a -> Neg (no_rewrite a)
+  | Union (a, b) -> Union (no_rewrite a, no_rewrite b)
+  | Call (f, args) -> Call (f, List.map no_rewrite args)
+  | Path p -> Path { p with steps = steps p.steps }
+  | Filter (a, preds, rest) ->
+    Filter (no_rewrite a, List.map no_rewrite preds, steps rest)
+  | Literal _ | Number _ | Var _ -> e
+
+(* The rewrite through a flat-less and a snapshot-backed lazy view, the
+   query on the materialised view, and the oracle: the rewrite-free form
+   on the materialised view.  Any disagreement fails. *)
 let answers doc policy expr =
   let session = Core.Session.login policy doc ~user in
   let vars = Core.Session.user_vars session in
-  let oracle =
-    Xpath.Eval.select (Xpath.Eval.env ~vars (Core.Session.view session)) expr
+  let on_view e =
+    List.map Ordpath.to_string
+      (Xpath.Eval.select (Xpath.Eval.env ~vars (Core.Session.view session)) e)
   in
-  let lv = Core.Lazy_view.of_session session in
+  let oracle = on_view (no_rewrite expr) in
   let plan = Core.Rewrite.plan expr in
-  let got = Core.Rewrite.select ~vars plan lv in
-  ( List.map Ordpath.to_string got,
-    List.map Ordpath.to_string oracle,
-    Core.Rewrite.compiled plan )
+  let via lv = List.map Ordpath.to_string (Core.Rewrite.select ~vars plan lv) in
+  let flat = Xmldoc.Flat.of_document doc in
+  let got =
+    [ ("flat-less lazy view", via (Core.Lazy_view.of_session session));
+      ( "snapshot lazy view",
+        via (Core.Lazy_view.of_session ~flat session) );
+      ("materialised view", on_view expr) ]
+  in
+  (got, oracle, Core.Rewrite.compiled plan)
+
+let disagreement got oracle =
+  List.find_opt (fun (_, ids) -> ids <> oracle) got
 
 let mismatch doc policy expr =
   match answers doc policy expr with
-  | got, oracle, _ -> got <> oracle
+  | got, oracle, _ -> Option.is_some (disagreement got oracle)
   | exception _ -> true
 
 let test_rewrite_differential () =
@@ -100,7 +145,9 @@ let test_rewrite_differential () =
         let expr = Xpath.Parser.parse_path q in
         let got, oracle, was_compiled = answers doc policy expr in
         incr (if was_compiled then compiled else fallback);
-        if got <> oracle then begin
+        match disagreement got oracle with
+        | None -> ()
+        | Some (where, got) ->
           let doc', policy', expr' =
             Test_support.Shrink.triple
               ~fails:(fun (d, p, e) -> mismatch d p e)
@@ -110,21 +157,20 @@ let test_rewrite_differential () =
             Test_support.Shrink.render ~seed ~doc:doc' ~policy:policy'
               ~query:(Xpath.Ast.to_string expr')
               (Printf.sprintf
-                 "rewrite disagrees with View.derive on %s (%s path):\n\
-                 \  rewrite [%s]\n  view    [%s]"
-                 q
+                 "%s disagrees with View.derive on %s (%s path):\n\
+                 \  got  [%s]\n  view [%s]"
+                 where q
                  (if was_compiled then "compiled" else "fallback")
                  (String.concat "; " got)
                  (String.concat "; " oracle))
           in
           Test_support.Shrink.save ~name:"rewrite" ~seed text;
-          Alcotest.fail text
-        end)
+          Alcotest.fail text)
       (queries_for seed)
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "at least 500 triples exercised (%d)" !triples)
-    true (!triples >= 500);
+    (Printf.sprintf "at least 1000 triples exercised (%d)" !triples)
+    true (!triples >= 1000);
   (* The query pool must hit both the compiled product and the lazy-view
      fallback, or the test proves less than it claims. *)
   Alcotest.(check bool)
@@ -152,10 +198,13 @@ let adversarial_doc () =
 let select_strings doc policy q =
   let expr = Xpath.Parser.parse_path q in
   let got, oracle, _ = answers doc policy expr in
-  Alcotest.(check (list string))
-    (Printf.sprintf "rewrite ≡ view on %s" q)
-    oracle got;
-  got
+  List.iter
+    (fun (where, ids) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s ≡ view on %s" where q)
+        oracle ids)
+    got;
+  oracle
 
 (* Overlapping allow/deny spans under axiom 14: the later rule wins, and
    a read grant below a hidden ancestor must NOT resurface the subtree
@@ -237,6 +286,55 @@ let test_write_only_privileges () =
   in
   Alcotest.(check (list string)) "write privileges leak nothing" []
     (select_strings doc policy "//node()")
+
+(* Positional predicates under [//]: [//a[1]] is the first visible [a]
+   child of every parent, [/descendant::a[1]] the first visible [a] of
+   the whole view -- and positions count view nodes, not source nodes. *)
+let test_positional_under_descendant () =
+  let a text = Tree.element "a" [ Tree.text text ] in
+  let doc =
+    D.of_tree
+      (Tree.element "r" [ a "1"; Tree.element "x" [ a "2"; a "3"; a "4" ] ])
+  in
+  let policy =
+    policy_of
+      [
+        Core.Rule.accept Core.Privilege.Read ~path:"//node()" ~subject:user
+          ~priority:1;
+        Core.Rule.deny Core.Privilege.Read ~path:"/r/x/a[1]" ~subject:user
+          ~priority:2;
+      ]
+  in
+  let elements id =
+    List.map
+      (fun (n : Node.t) -> Ordpath.to_string n.id)
+      (D.element_children doc id)
+  in
+  let a1, x =
+    match D.root_element doc with
+    | Some r -> (
+      match elements r.id with
+      | [ a1; x ] -> (a1, x)
+      | _ -> Alcotest.fail "unexpected document shape")
+    | None -> Alcotest.fail "no root element"
+  in
+  let a3, a4 =
+    match elements (Ordpath.of_string x) with
+    | [ _a2; a3; a4 ] -> (a3, a4)
+    | _ -> Alcotest.fail "unexpected document shape"
+  in
+  List.iter
+    (fun (q, expected) ->
+      Alcotest.(check (list string)) q expected (select_strings doc policy q))
+    [
+      ("//a[1]", [ a1; a3 ]);
+      ("/descendant::a[1]", [ a1 ]);
+      ("//a[last()]", [ a1; a4 ]);
+      ("//a[position() > 1]", [ a4 ]);
+      ("//x/a[2]", [ a4 ]);
+      ("//a[. = '3']", [ a3 ]);
+      ("//a[not(position() = 1)]", [ a4 ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Permission-equivalence classes (Serve)                              *)
@@ -387,13 +485,128 @@ let test_class_draining () =
   Alcotest.(check int) "class rebuilt on demand" before
     (Core.Serve.classes serve)
 
+(* ------------------------------------------------------------------ *)
+(* Served fallback reads on a Zipf document                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The shape of the served read mix's fallbacks: [//a[b]] over Zipf
+   labels on a wide Gen_large document, read by three reader roles that
+   each hide a different part of it (one keeping the hidden elements as
+   RESTRICTED) and by an editor holding every privilege.  Every class's
+   served answers must equal Session.query on its materialised view and
+   the rewrite-free form, before and after a policy-only commit and a
+   document commit. *)
+let test_served_zipf_fallback () =
+  let module G = Workload.Gen_large in
+  let config =
+    { G.default with G.target_nodes = 2_000; max_depth = 5; max_children = 8;
+      seed = 5 }
+  in
+  let doc = G.generate config in
+  let roles = [ "r0"; "r1"; "r2" ] in
+  let subjects =
+    Core.Subject.of_list
+      ([ (Core.Subject.Role, "staff", []); (Core.Subject.Role, "editors", []);
+         (Core.Subject.User, "ed", [ "editors" ]) ]
+      @ List.concat_map
+          (fun r ->
+            [ (Core.Subject.Role, r, [ "staff" ]);
+              (Core.Subject.User, "u" ^ r, [ r ]) ])
+          roles)
+  in
+  let rule d p path subject priority =
+    Core.Rule.v d p ~path ~subject ~priority
+  in
+  let open Core.Rule in
+  let open Core.Privilege in
+  let policy =
+    Core.Policy.v subjects
+      [ rule Accept Read "//node()" "staff" 1;
+        rule Deny Read "//e1//node()" "r0" 2;
+        rule Deny Read "//e1" "r0" 3;
+        rule Accept Position "//e1" "r0" 4;
+        rule Deny Read "//e3" "r1" 5;
+        rule Deny Read "//e2/e4//node()" "r2" 6;
+        rule Accept Position "//e2/e4//node()" "r2" 7;
+        rule Accept Read "//node()" "editors" 8;
+        rule Accept Update "//node()" "editors" 9;
+        rule Accept Insert "//node()" "editors" 10;
+        rule Accept Delete "//node()" "editors" 11 ]
+  in
+  let users = "ed" :: List.map (fun r -> "u" ^ r) roles in
+  let serve = Core.Serve.create policy doc in
+  Core.Serve.login_many serve users;
+  Alcotest.(check int) "four permission classes" 4 (Core.Serve.classes serve);
+  let rng = ref (Prng.create 17) in
+  let label () =
+    let r, l = G.sample_label config !rng in
+    rng := r;
+    l
+  in
+  let queries =
+    "//RESTRICTED[text()]"
+    :: List.init 30 (fun _ ->
+           let a = label () in
+           Printf.sprintf "//%s[%s]" a (label ()))
+  in
+  let check stage =
+    let answered = ref 0 in
+    List.iter
+      (fun user ->
+        let session = Core.Serve.session serve ~user in
+        let view = Core.Session.view session in
+        List.iter
+          (fun q ->
+            let strings = List.map Ordpath.to_string in
+            let served = strings (Core.Serve.query serve ~user q) in
+            if served <> [] then incr answered;
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: %s for %s = Session.query" stage q user)
+              (strings (Core.Session.query session q))
+              served;
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: %s for %s = rewrite-free form" stage q user)
+              (strings
+                 (Xpath.Eval.select
+                    (Xpath.Eval.env ~vars:(Core.Session.user_vars session) view)
+                    (no_rewrite (Xpath.Parser.parse_path q))))
+              served)
+          queries)
+      users;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: some answers are non-empty (%d)" stage !answered)
+      true (!answered > 0)
+  in
+  Alcotest.(check bool) "the reads take the fallback path" false
+    (Core.Rewrite.compiled (Core.Rewrite.plan_str (List.nth queries 1)));
+  check "initial";
+  let commit ops =
+    match Core.Serve.commit_ops serve ~user:"ed" ops with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Core.Txn.error_to_string e)
+  in
+  commit
+    [ Core.Op.Policy
+        (Core.Op.Add_rule
+           (Core.Rule.deny Update ~path:"//e5" ~subject:"editors"
+              ~priority:(Core.Serve.fresh_priority serve))) ];
+  check "after a policy-only commit";
+  commit
+    [ Core.Op.Doc
+        (Xupdate.Op.append "/*"
+           (Tree.element (G.label_of_rank 0)
+              [ Tree.element (G.label_of_rank 1) [ Tree.text "new" ] ]));
+      Core.Op.Doc (Xupdate.Op.remove "/*/*[1]") ];
+  check "after a document commit"
+
 let () =
   Alcotest.run "rewrite"
     [
       ( "differential",
         [
           Alcotest.test_case
-            (Printf.sprintf "%d seeded cases x 6 queries, rewrite = derive"
+            (Printf.sprintf
+               "%d seeded cases x 6 queries + 6 positional, rewrite = derive"
                cases)
             `Quick test_rewrite_differential;
         ] );
@@ -405,6 +618,8 @@ let () =
             test_restricted_relabel;
           Alcotest.test_case "write-only privileges leak nothing" `Quick
             test_write_only_privileges;
+          Alcotest.test_case "positional predicates under //" `Quick
+            test_positional_under_descendant;
         ] );
       ( "equivalence-classes",
         [
@@ -414,5 +629,10 @@ let () =
             test_class_broadcast;
           Alcotest.test_case "logout drains classes" `Quick
             test_class_draining;
+        ] );
+      ( "served fallback",
+        [
+          Alcotest.test_case "Zipf //a[b] in every class across commits"
+            `Quick test_served_zipf_fallback;
         ] );
     ]
