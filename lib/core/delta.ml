@@ -7,19 +7,7 @@ let all = All
 
 let of_roots ids =
   if List.exists (Ordpath.equal Ordpath.document) ids then All
-  else
-    let sorted = List.sort_uniq Ordpath.compare ids in
-    (* Sorted = document order, so a covering ancestor precedes the nodes
-       it covers; one left-to-right pass drops them. *)
-    let roots =
-      List.fold_left
-        (fun acc id ->
-          match acc with
-          | prev :: _ when Ordpath.is_ancestor_or_self ~ancestor:prev id -> acc
-          | _ -> id :: acc)
-        [] sorted
-    in
-    Local (List.rev roots)
+  else Local (Ordpath.outermost ids)
 
 let union a b =
   match (a, b) with

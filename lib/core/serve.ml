@@ -125,9 +125,16 @@ let sync_gauges t =
   Obs.Metrics.set_gauge g_sessions (float (Hashtbl.length t.sessions));
   Obs.Metrics.set_gauge g_classes (float (Hashtbl.length t.classes))
 
-let freeze source =
+(* [from] is the published snapshot together with the roots of the delta
+   that leads from its document to [source]: the new snapshot is then
+   spliced from it at the cost of the delta; otherwise [source] is frozen
+   whole. *)
+let freeze ?from source =
   let flat =
-    Obs.Trace.with_span "flat.freeze" (fun () -> Xmldoc.Flat.of_document source)
+    Obs.Trace.with_span "flat.freeze" (fun () ->
+        match from with
+        | Some (flat, roots) -> Xmldoc.Flat.splice flat source ~roots
+        | None -> Xmldoc.Flat.of_document source)
   in
   Obs.Metrics.inc m_flat_freezes;
   Obs.Metrics.set_gauge g_document_nodes (float (Xmldoc.Flat.size flat));
@@ -615,6 +622,7 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
   let txn = Obs.Events.next_txn () in
   Obs.Events.with_txn txn @@ fun () ->
   let e = entry t ~user in
+  let staged_on = Session.source e.cls.rep in
   match
     Txn.commit_ops ~on_denial ?admin (Session.impersonate e.cls.rep ~user) ops
   with
@@ -637,8 +645,19 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
     (* The freeze runs outside the lock; the new epoch — map-backed
        store, columnar snapshot and (on churn) policy + timestamp clock
        — is published atomically under it.  A policy-only batch leaves
-       the document untouched and skips the re-freeze. *)
-    let flat' = if source' == t.source then t.flat else freeze source' in
+       the document untouched and skips the re-freeze; a batch staged on
+       the published document splices the published snapshot along its
+       delta; anything else (a batch staged on an older epoch, a delta
+       that widened to everything) freezes the whole document. *)
+    let flat' =
+      let published, flat = snapshot t in
+      if source' == published then flat
+      else
+        match delta with
+        | Delta.Local roots when staged_on == published ->
+          freeze ~from:(flat, roots) source'
+        | Delta.Local _ | Delta.All -> freeze source'
+    in
     locked t (fun () ->
         t.source <- source';
         t.flat <- flat';

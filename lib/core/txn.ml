@@ -167,8 +167,31 @@ let apply_policy_op policy pop =
       Ok (Policy.remove_isa policy ~sub ~super)
     else Error (Printf.sprintf "no isa edge %s -> %s" sub super)
 
-let commit_ops ?(on_denial = `Abort) ?(validate = Xmldoc.Invariants.check)
-    ?admin session ops =
+(* The structural check, scoped to the batch's delta when it can be.
+   [Invariants.check_scoped] equals the full check whenever the batch's
+   input passed it, so the last document the check accepted is kept and
+   recognised by physical identity: [Document.t] is persistent, so the
+   same value is the same content.  A batch staged on any other document
+   (the first commit after start, recovery's first replayed batch, a
+   caller's hand-built store) gets the full check.  A batch that left the
+   document physically unchanged — policy ops only — checks nothing. *)
+let last_valid : Xmldoc.Document.t option Atomic.t = Atomic.make None
+
+let structural_check ~input ~delta staged =
+  let known_valid =
+    match Atomic.get last_valid with Some d -> d == input | None -> false
+  in
+  let violations =
+    if known_valid && staged == input then []
+    else
+      match (known_valid, Delta.roots delta) with
+      | true, Some roots -> Xmldoc.Invariants.check_scoped staged ~roots
+      | _ -> Xmldoc.Invariants.check staged
+  in
+  if violations = [] then Atomic.set last_valid (Some staged);
+  violations
+
+let commit_ops ?(on_denial = `Abort) ?validate ?admin session ops =
   Obs.Trace.with_span "txn.commit" @@ fun () ->
   Obs.Trace.annotate "user" (Session.user session);
   Obs.Trace.annotate "ops" (string_of_int (List.length ops));
@@ -255,9 +278,14 @@ let commit_ops ?(on_denial = `Abort) ?(validate = Xmldoc.Invariants.check)
   match stage_all 0 session [] [] [] Delta.empty ops with
   | Error err -> abort err
   | Ok (session', reports, applied, policy_denials, policy_delta) -> (
+    let delta = merged_delta reports in
     match
       Obs.Trace.with_span "txn.validate" (fun () ->
-          validate (Session.source session'))
+          let staged = Session.source session' in
+          match validate with
+          | Some validate -> validate staged
+          | None ->
+            structural_check ~input:(Session.source session) ~delta staged)
     with
     | exception exn ->
       abort (Invalid { reports; violations = [ Printexc.to_string exn ] })
@@ -312,7 +340,7 @@ let commit_ops ?(on_denial = `Abort) ?(validate = Xmldoc.Invariants.check)
           reports;
           policy_denials;
           applied;
-          delta = merged_delta reports;
+          delta;
           policy_delta;
           policy;
           policy_changed = policy_ops <> [];

@@ -95,9 +95,19 @@ val commit_ops :
     because journaled batches hold only ops that already passed the
     live check).
 
-    [validate] (default {!Xmldoc.Invariants.check}) runs on the staged
-    final document; any returned violation aborts.  {!Validated} passes
-    schema validation here. *)
+    [validate] runs on the staged final document; any returned violation
+    aborts.  {!Validated} passes schema validation here, and a caller's
+    [validate] always sees the whole document.  The default is the
+    structural check ({!Xmldoc.Invariants}), scoped to the batch's merged
+    delta when the batch's input document is one the check already
+    accepted (recognised by physical identity — the document of the
+    previous commit, in a server or a recovery replay):
+    {!Xmldoc.Invariants.check_scoped} then returns exactly what the full
+    {!Xmldoc.Invariants.check} would, at the cost of the delta, and a
+    batch that left the document untouched checks nothing.  Any other
+    input — the first batch after start, a store built by hand — gets the
+    full check, so no commit publishes a document the full check
+    rejects. *)
 
 val commit :
   ?on_denial:[ `Abort | `Tolerate ] ->

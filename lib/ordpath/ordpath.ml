@@ -143,6 +143,18 @@ let between ~left ~right =
   | None -> invalid_arg "Ordpath.between: document node"
   | Some p -> child_under ~parent:p ~left:(Some left) ~right:(Some right)
 
+(* Sorted = document order, so a covering ancestor precedes the labels
+   it covers; one left-to-right pass drops them. *)
+let outermost ts =
+  List.fold_left
+    (fun acc t ->
+      match acc with
+      | prev :: _ when is_prefix prev t -> acc
+      | _ -> t :: acc)
+    []
+    (List.sort_uniq compare ts)
+  |> List.rev
+
 let relationship a b =
   if equal a b then `Self
   else if is_strict_prefix b a then `Ancestor

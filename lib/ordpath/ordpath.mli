@@ -79,6 +79,11 @@ val child_under : parent:t -> left:t option -> right:t option -> t
     no bound on that side).
     @raise Invalid_argument on non-children bounds or [left >= right]. *)
 
+val outermost : t list -> t list
+(** The labels in document order, without duplicates and without those
+    that descend from another label of the list: the roots of a union of
+    subtrees, pairwise disjoint. *)
+
 val relationship : t -> t -> [ `Self | `Ancestor | `Descendant
                              | `Preceding | `Following ]
 (** [relationship a b] classifies [b] relative to [a]: e.g. [`Ancestor]

@@ -133,9 +133,37 @@ let descendant_or_self t id =
   | None -> []
   | Some n -> n :: descendants t id
 
+(* Child steps walk the contiguous run of descendants but do not wade
+   through a big subtree: past three of a child's descendants they seek
+   to the first key after it, one O(log n) search.  A child step so costs
+   O(children · log n) at worst, however large the subtrees below, while
+   leaves and small subtrees (below three, stepping is cheaper than a
+   search) never seek.  A descendant that is not a child (an orphan whose
+   parent is missing) is skipped like a child's subtree — no child can
+   lie inside it. *)
 let children t id =
-  List.filter (fun (n : Node.t) -> Ordpath.is_child ~parent:id n.id)
-    (descendants t id)
+  let past c =
+    match
+      Ordpath.Map.find_first_opt
+        (fun k -> Ordpath.compare k c > 0 && not (Ordpath.is_ancestor ~ancestor:c k))
+        t.nodes
+    with
+    | Some (k, _) -> Ordpath.Map.to_seq_from k t.nodes
+    | None -> Seq.empty
+  in
+  let rec next acc seq =
+    match seq () with
+    | Seq.Cons ((k, n), rest) when Ordpath.is_ancestor ~ancestor:id k ->
+      let acc = if Ordpath.is_child ~parent:id k then n :: acc else acc in
+      below acc k rest 3
+    | _ -> List.rev acc
+  and below acc c seq budget =
+    match seq () with
+    | Seq.Cons ((k, _), rest) when Ordpath.is_ancestor ~ancestor:c k ->
+      if budget = 0 then next acc (past c) else below acc c rest (budget - 1)
+    | node -> next acc (fun () -> node)
+  in
+  next [] (Seq.drop_while (fun (k, _) -> Ordpath.equal k id) (Ordpath.Map.to_seq_from id t.nodes))
 
 let element_children t id =
   List.filter (fun (n : Node.t) -> n.kind <> Node.Attribute) (children t id)

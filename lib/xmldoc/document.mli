@@ -64,6 +64,13 @@ val find_labelled : t -> string -> Node.t option
 
 val parent : t -> Ordpath.t -> Node.t option
 val children : t -> Ordpath.t -> Node.t list
+(** Child nodes, document order.  Skips each child's subtree with one
+    O(log n) search past it (small subtrees are stepped over in place),
+    so a child step costs O(children · log n) however large the subtrees
+    below; {!last_child} and the sibling axes build on it.  On a store
+    with orphans it answers exactly the identifiers whose ordpath parent
+    is the given node. *)
+
 val element_children : t -> Ordpath.t -> Node.t list
 (** Children that are not attribute nodes. *)
 

@@ -18,7 +18,12 @@
    Axis answers are defined to coincide exactly with {!Document}'s — the
    differential suite in [test/test_flat.ml] checks this on random
    documents — so a flat snapshot can stand in for the map behind
-   [Xpath.Source] without changing any answer. *)
+   [Xpath.Source] without changing any answer.
+
+   After a commit, [splice] builds the next snapshot from the previous
+   one and the commit's delta instead of walking the whole map again. *)
+
+module Labels = Map.Make (String)
 
 type t = {
   count : int;
@@ -26,12 +31,19 @@ type t = {
   kinds : Bytes.t;              (* Node.kind code per node *)
   labels : int array;           (* label pool id per node *)
   pool : string array;          (* label id -> label *)
+  pool_ids : (string, int) Hashtbl.t;
+      (* label -> id for the labels of the last full freeze; never
+         mutated once published *)
+  pool_extra : int Labels.t;    (* label -> id for labels spliced in since *)
+  postings : int array array;   (* label id -> its nodes' indexes, ascending *)
+  live : int;                   (* label ids with a non-empty posting list *)
   nodes : Node.t array;         (* boxed view of each node, built once *)
   parent : int array;           (* parent index, -1 at the document node *)
   first_child : int array;      (* -1 when childless *)
   next_sibling : int array;     (* -1 at a last child *)
   subtree_end : int array;      (* exclusive end of the subtree span *)
-  by_label : (string, int array) Hashtbl.t;
+  row_bytes : int;              (* [bytes] of the keys and boxed nodes *)
+  pool_bytes : int;             (* [bytes] of the pool's labels *)
 }
 
 let kind_code : Node.kind -> int = function
@@ -48,6 +60,40 @@ let kind_of_code = function
   | 3 -> Node.Text
   | _ -> Node.Comment
 
+(* ---- Size accounting (see [bytes]) ---- *)
+
+let word = Sys.word_size / 8
+let str_bytes s = word * (2 + (String.length s / word))
+let pool_entry_bytes l = word + str_bytes l
+
+(* One row's packed key plus its boxed node (record and identifier). *)
+let row_bytes_of key (id : Ordpath.t) =
+  word + str_bytes key + word + (4 * word)
+  + (word * (1 + List.length (Ordpath.to_components id)))
+
+(* ---- Geometry from a stack of open rows ---- *)
+
+(* Rows arrive in document order; the stack holds the open rows, innermost
+   first.  A frame's packed key is a strict prefix of a later row's key
+   iff the frame is that row's ancestor. *)
+type frame = { ix : int; key : string; mutable last_child : int }
+
+(* Closes the frames that are not ancestors of row [i] (packed key [key]):
+   their subtree spans end at [i]. *)
+let rec close_frames subtree_end stack ~key i =
+  match stack with
+  | top :: rest when not (Ordpath.is_packed_strict_prefix top.key key) ->
+    subtree_end.(top.ix) <- i;
+    close_frames subtree_end rest ~key i
+  | stack -> stack
+
+(* Makes row [i] the next child of [top]. *)
+let add_child ~parent ~first_child ~next_sibling top i =
+  parent.(i) <- top.ix;
+  if top.last_child < 0 then first_child.(top.ix) <- i
+  else next_sibling.(top.last_child) <- i;
+  top.last_child <- i
+
 (* ---- Builder ---- *)
 
 (* Growable column buffers: nodes must arrive in document order with
@@ -56,8 +102,6 @@ let kind_of_code = function
    stack of open nodes — the packed key of the top of the stack is a
    strict prefix of the current key iff the top is an ancestor. *)
 module Builder = struct
-  type frame = { ix : int; key : string; mutable last_child : int }
-
   type b = {
     mutable n : int;
     mutable keys : string array;
@@ -121,22 +165,12 @@ module Builder = struct
     if b.n = Array.length b.keys then grow b;
     let i = b.n in
     let key = Ordpath.pack id in
-    let rec unwind () =
-      match b.stack with
-      | top :: rest when not (Ordpath.is_packed_strict_prefix top.key key) ->
-        b.subtree_end.(top.ix) <- i;
-        b.stack <- rest;
-        unwind ()
-      | _ -> ()
-    in
-    unwind ();
+    b.stack <- close_frames b.subtree_end b.stack ~key i;
     (match b.stack with
      | [] -> b.parent.(i) <- -1
      | top :: _ ->
-       b.parent.(i) <- top.ix;
-       if top.last_child < 0 then b.first_child.(top.ix) <- i
-       else b.next_sibling.(top.last_child) <- i;
-       top.last_child <- i);
+       add_child ~parent:b.parent ~first_child:b.first_child
+         ~next_sibling:b.next_sibling top i);
     b.keys.(i) <- key;
     Bytes.set b.kinds i (Char.chr (kind_code kind));
     b.labels.(i) <- pool_id b label;
@@ -160,31 +194,41 @@ module Builder = struct
             ~kind:(kind_of_code (Char.code (Bytes.get kinds i)))
             pool.(labels.(i)))
     in
-    (* Per-label posting lists, document order (indexes ascend as we
-       scan).  Built as reversed lists per pool id, then materialised. *)
-    let postings = Array.make (max 1 b.pool_n) [] in
-    for i = n - 1 downto 0 do
-      postings.(labels.(i)) <- i :: postings.(labels.(i))
-    done;
-    let by_label = Hashtbl.create (max 16 b.pool_n) in
+    (* Per-label posting arrays, sized by a counting pass and filled in
+       ascending index order. *)
+    let postings =
+      let counts = Array.make (Array.length pool) 0 in
+      Array.iter (fun l -> counts.(l) <- counts.(l) + 1) labels;
+      Array.map (fun c -> Array.make c 0) counts
+    in
+    let fill = Array.make (Array.length pool) 0 in
     Array.iteri
-      (fun lid label ->
-        match postings.(lid) with
-        | [] -> ()
-        | ixs -> Hashtbl.replace by_label label (Array.of_list ixs))
-      pool;
+      (fun i l ->
+        postings.(l).(fill.(l)) <- i;
+        fill.(l) <- fill.(l) + 1)
+      labels;
+    let row_bytes = ref 0 in
+    for i = 0 to n - 1 do
+      row_bytes := !row_bytes + row_bytes_of keys.(i) nodes.(i).Node.id
+    done;
     {
       count = n;
       keys;
       kinds;
       labels;
       pool;
+      pool_ids = b.pool_ids;
+      pool_extra = Labels.empty;
+      postings;
+      live = b.pool_n;
       nodes;
       parent = trim b.parent;
       first_child = trim b.first_child;
       next_sibling = trim b.next_sibling;
       subtree_end = trim b.subtree_end;
-      by_label;
+      row_bytes = !row_bytes;
+      pool_bytes =
+        Array.fold_left (fun acc l -> acc + pool_entry_bytes l) 0 pool;
     }
 end
 
@@ -213,6 +257,7 @@ let first_child_ix t i = t.first_child.(i)
 let next_sibling_ix t i = t.next_sibling.(i)
 let subtree_end t i = t.subtree_end.(i)
 let pool_size t = Array.length t.pool
+let pool_label t lid = t.pool.(lid)
 
 (* Binary search over the packed key column: branchless-comparison
    [String.compare] per probe, no ordpath list walking. *)
@@ -244,6 +289,279 @@ let find_ix t ordpath =
   let i = find_key t (Ordpath.pack ordpath) in
   if i < 0 then None else Some i
 
+(* ---- Splice ---- *)
+
+(* First index in [lo, hi) whose key does not start with [prefix], when
+   the keys in [lo, hi) that do form a leading run (a subtree span). *)
+let end_of_prefix keys prefix lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Ordpath.is_packed_prefix prefix keys.(mid) then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+(* The snapshot of [doc] built from [t], the snapshot of a document that
+   agrees with [doc] outside the subtrees of [roots].  Each root's subtree
+   is a contiguous row range in both; the rows between ranges ("gaps")
+   keep their key, kind, label id and boxed node and only have their index
+   columns shifted, while the rows inside a range are read from [doc].
+   Index entries that pointed into a replaced range are exactly these,
+   and are recomputed:
+
+   - [subtree_end] of the ranges' ancestors, by a prefix search over the
+     new keys;
+   - the child chain of each range's parent [p] (the nearest node above
+     the root, which lies in a gap): the child before the range now links
+     to the range's top rows, and the last of those to the child after.
+
+   Pool ids of gap rows stay; new labels get fresh ids, so labels that
+   lose their last row stay in the pool, dead, until a full freeze. *)
+let splice_ranges t doc roots =
+  let k = Array.length roots in
+  let rkeys = Array.map Ordpath.pack roots in
+  let a = Array.make k 0 and b = Array.make k 0 in
+  Array.iteri
+    (fun j rk ->
+      a.(j) <- lower_bound t rk;
+      b.(j) <- end_of_prefix t.keys rk a.(j) t.count)
+    rkeys;
+  let fresh =
+    Array.map
+      (fun r ->
+        let below = Document.descendants_seq doc r in
+        Array.of_seq
+          (match Document.find doc r with
+           | Some n -> Seq.cons n below
+           | None -> below))
+      roots
+  in
+  (* cum.(j): net rows added by the ranges before range j. *)
+  let cum = Array.make (k + 1) 0 in
+  for j = 0 to k - 1 do
+    cum.(j + 1) <- cum.(j) + Array.length fresh.(j) - (b.(j) - a.(j))
+  done;
+  let n = t.count + cum.(k) in
+  (* Ranges ending at or before old row [x]. *)
+  let ranges_before x =
+    let lo = ref 0 and hi = ref k in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if b.(mid) <= x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let shift x = if x < 0 then x else x + cum.(ranges_before x) in
+  (* An exclusive end [e] of a node above no range: the ranges before it
+     all end before [e] (one starting at [e] lies after the subtree). *)
+  let shift_end e = e + cum.(ranges_before (e - 1)) in
+  (* Labels new to the pool, with their ids. *)
+  let base_pool = Array.length t.pool in
+  let added = ref [] and extra = ref t.pool_extra in
+  let pool_n = ref base_pool and pool_bytes = ref t.pool_bytes in
+  Array.iter
+    (Array.iter (fun (nd : Node.t) ->
+         if Hashtbl.mem t.pool_ids nd.label || Labels.mem nd.label !extra then ()
+         else begin
+           extra := Labels.add nd.label !pool_n !extra;
+           added := nd.label :: !added;
+           pool_bytes := !pool_bytes + pool_entry_bytes nd.label;
+           incr pool_n
+         end))
+    fresh;
+  let pool =
+    if !added = [] then t.pool
+    else Array.append t.pool (Array.of_list (List.rev !added))
+  in
+  let lookup label =
+    match Hashtbl.find_opt t.pool_ids label with
+    | Some id -> id
+    | None -> Labels.find label !extra
+  in
+  let keys = Array.make n "" in
+  let kinds = Bytes.create n in
+  let labels = Array.make n 0 in
+  let nodes = Array.make n t.nodes.(0) in
+  let parent = Array.make n (-1) in
+  let first_child = Array.make n (-1) in
+  let next_sibling = Array.make n (-1) in
+  let subtree_end = Array.make n 0 in
+  let row_bytes = ref t.row_bytes in
+  let range_parent = Array.make k 0 and last_top = Array.make k (-1) in
+  (* Fresh rows per label id, descending. *)
+  let fresh_rows : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+  (* Gap [j]: the old rows between range [j - 1] and range [j]. *)
+  let copy_gap j =
+    let lo = if j = 0 then 0 else b.(j - 1) in
+    let hi = if j = k then t.count else a.(j) in
+    let d = cum.(j) and len = hi - lo in
+    if len > 0 then begin
+      let dst = lo + d in
+      Array.blit t.keys lo keys dst len;
+      Array.blit t.nodes lo nodes dst len;
+      Array.blit t.labels lo labels dst len;
+      Bytes.blit t.kinds lo kinds dst len;
+      for x = lo to hi - 1 do
+        let y = x + d in
+        parent.(y) <- shift t.parent.(x);
+        first_child.(y) <- shift t.first_child.(x);
+        next_sibling.(y) <- shift t.next_sibling.(x);
+        subtree_end.(y) <- shift_end t.subtree_end.(x)
+      done
+    end
+  in
+  let fill_range j =
+    (* The range's parent: the nearest gap row above the root. *)
+    let p =
+      let x = ref (a.(j) - 1) in
+      while not (Ordpath.is_packed_strict_prefix t.keys.(!x) rkeys.(j)) do
+        x := t.parent.(!x)
+      done;
+      shift !x
+    in
+    range_parent.(j) <- p;
+    for x = a.(j) to b.(j) - 1 do
+      row_bytes := !row_bytes - row_bytes_of t.keys.(x) t.nodes.(x).Node.id
+    done;
+    let base = a.(j) + cum.(j) in
+    let stop = base + Array.length fresh.(j) in
+    (* [p]'s child before the range, whose sibling link the range's first
+       top row takes over (or [p]'s first-child link, if none). *)
+    let prev =
+      if base - 1 = p then -1
+      else begin
+        let x = ref (base - 1) in
+        while parent.(!x) <> p do x := parent.(!x) done;
+        !x
+      end
+    in
+    (* [p] stays open below the range's rows, so they link in as in
+       [Builder.add]; its own span is recomputed with the ancestors'. *)
+    let top = { ix = p; key = keys.(p); last_child = prev } in
+    let stack = ref [ top ] in
+    Array.iteri
+      (fun q (nd : Node.t) ->
+        let i = base + q in
+        let key = Ordpath.pack nd.id in
+        stack := close_frames subtree_end !stack ~key i;
+        add_child ~parent ~first_child ~next_sibling (List.hd !stack) i;
+        let lid = lookup nd.label in
+        keys.(i) <- key;
+        Bytes.set kinds i (Char.chr (kind_code nd.kind));
+        labels.(i) <- lid;
+        nodes.(i) <- Node.v ~id:nd.id ~kind:nd.kind pool.(lid);
+        row_bytes := !row_bytes + row_bytes_of key nd.id;
+        Hashtbl.replace fresh_rows lid
+          (i :: Option.value ~default:[] (Hashtbl.find_opt fresh_rows lid));
+        stack := { ix = i; key; last_child = -1 } :: !stack)
+      fresh.(j);
+    List.iter (fun fr -> if fr != top then subtree_end.(fr.ix) <- stop) !stack;
+    last_top.(j) <- top.last_child
+  in
+  for j = 0 to k - 1 do
+    copy_gap j;
+    fill_range j
+  done;
+  copy_gap k;
+  (* Ancestors of the ranges: their spans grew or shrank. *)
+  let fixed = Hashtbl.create 16 in
+  Array.iter
+    (fun p ->
+      let x = ref p in
+      while !x >= 0 && not (Hashtbl.mem fixed !x) do
+        Hashtbl.add fixed !x ();
+        subtree_end.(!x) <- end_of_prefix keys keys.(!x) (!x + 1) n;
+        x := parent.(!x)
+      done)
+    range_parent;
+  (* The child chains through the ranges: the last child of [p] up to a
+     range's end links to the first child after it. *)
+  for j = 0 to k - 1 do
+    let p = range_parent.(j) in
+    let stop = a.(j) + cum.(j) + Array.length fresh.(j) in
+    let next = if stop < subtree_end.(p) then stop else -1 in
+    if last_top.(j) < 0 then first_child.(p) <- next
+    else next_sibling.(last_top.(j)) <- next
+  done;
+  (* Posting lists: a list whose rows all precede the first range is
+     shared; the others drop replaced rows, shift and merge fresh ones. *)
+  let postings = Array.make (Array.length pool) [||] in
+  Array.blit t.postings 0 postings 0 base_pool;
+  let live = ref t.live in
+  let rebuild lid =
+    let old = if lid < base_pool then t.postings.(lid) else [||] in
+    let fresh = List.rev (Option.value ~default:[] (Hashtbl.find_opt fresh_rows lid)) in
+    let out = Array.make (Array.length old + List.length fresh) 0 in
+    let len = ref 0 and fresh = ref fresh in
+    let push x =
+      out.(!len) <- x;
+      incr len
+    in
+    Array.iter
+      (fun x ->
+        let c = ranges_before x in
+        if not (c < k && a.(c) <= x) then begin
+          let x = x + cum.(c) in
+          let rec flush () =
+            match !fresh with
+            | f :: rest when f < x ->
+              push f;
+              fresh := rest;
+              flush ()
+            | _ -> ()
+          in
+          flush ();
+          push x
+        end)
+      old;
+    List.iter push !fresh;
+    if Array.length old = 0 && !len > 0 then incr live
+    else if Array.length old > 0 && !len = 0 then decr live;
+    postings.(lid) <- (if !len = Array.length out then out else Array.sub out 0 !len)
+  in
+  let reaches_ranges lid =
+    lid < base_pool
+    &&
+    let ps = t.postings.(lid) in
+    Array.length ps > 0 && ps.(Array.length ps - 1) >= a.(0)
+  in
+  for lid = 0 to base_pool - 1 do
+    if reaches_ranges lid then rebuild lid
+  done;
+  Hashtbl.iter
+    (fun lid _ -> if not (reaches_ranges lid) then rebuild lid)
+    fresh_rows;
+  {
+    count = n;
+    keys;
+    kinds;
+    labels;
+    pool;
+    pool_ids = t.pool_ids;
+    pool_extra = !extra;
+    postings;
+    live = !live;
+    nodes;
+    parent;
+    first_child;
+    next_sibling;
+    subtree_end;
+    row_bytes = !row_bytes;
+    pool_bytes = !pool_bytes;
+  }
+
+let splice t doc ~roots =
+  if List.exists (Ordpath.equal Ordpath.document) roots || t.count = 0 then
+    of_document doc
+  else
+    match Ordpath.outermost roots with
+    | [] -> t
+    | roots ->
+      let t' = splice_ranges t doc (Array.of_list roots) in
+      (* Dead labels stay in the pool until a full freeze; bound them. *)
+      if Array.length t'.pool > (2 * t'.live) + 64 then of_document doc else t'
+
 let find t ordpath = Option.map (node t) (find_ix t ordpath)
 let mem t ordpath = find_key t (Ordpath.pack ordpath) >= 0
 let label t ordpath = Option.map (label_ix t) (find_ix t ordpath)
@@ -267,9 +585,14 @@ let to_seq t =
 
 (* ---- Per-label index ---- *)
 
+let pool_id t label =
+  match Hashtbl.find_opt t.pool_ids label with
+  | Some _ as id -> id
+  | None -> Labels.find_opt label t.pool_extra
+
 let by_label_ix t label =
-  match Hashtbl.find_opt t.by_label label with
-  | Some ixs -> ixs
+  match pool_id t label with
+  | Some lid -> t.postings.(lid)
   | None -> [||]
 
 let by_label t label =
@@ -481,22 +804,6 @@ let string_value t ordpath =
 
 (* ---- Size accounting ---- *)
 
-let bytes t =
-  let word = Sys.word_size / 8 in
-  let str s = word * (2 + (String.length s / word)) in
-  let int_array a = word * (1 + Array.length a) in
-  let keys_bytes = Array.fold_left (fun acc k -> acc + word + str k) 0 t.keys in
-  let pool_bytes = Array.fold_left (fun acc l -> acc + word + str l) 0 t.pool in
-  let nodes_bytes =
-    Array.fold_left
-      (fun acc (n : Node.t) ->
-        acc + word + (4 * word)
-        + (word * (1 + List.length (Ordpath.to_components n.id))))
-      0 t.nodes
-  in
-  keys_bytes + pool_bytes + nodes_bytes
-  + Bytes.length t.kinds
-  + int_array t.labels + int_array t.parent + int_array t.first_child
-  + int_array t.next_sibling + int_array t.subtree_end
+let bytes t = t.row_bytes + t.pool_bytes + t.count + (5 * word * (1 + t.count))
 
 let bytes_per_node t = if t.count = 0 then 0. else float_of_int (bytes t) /. float_of_int t.count

@@ -7,9 +7,12 @@
     [Xpath.Source] and the compiled-NFA folds.
 
     A snapshot is immutable: writers keep mutating the map-backed
-    {!Document}; an epoch publisher (e.g. [Core.Serve.commit]) freezes a
-    fresh snapshot per committed delta.  All axis answers coincide
-    exactly with {!Document}'s (checked differentially in
+    {!Document}; an epoch publisher (e.g. [Core.Serve.commit]) publishes
+    a new snapshot per committed delta, {!splice}d from the previous one
+    at the cost of the delta plus flat array copies, or frozen whole by
+    {!of_document}, the reference.  All axis answers coincide exactly
+    with {!Document}'s, and every spliced snapshot equals the fresh
+    freeze of its document (both checked differentially in
     [test/test_flat.ml]). *)
 
 type t
@@ -33,6 +36,25 @@ end
 
 val of_document : Document.t -> t
 (** Freeze: one document-order walk of the map-backed store. *)
+
+val splice : t -> Document.t -> roots:Ordpath.t list -> t
+(** [splice t doc ~roots] is a snapshot of [doc] — equal to
+    [of_document doc] on every column and posting list, pool ids aside —
+    given that [t] is a snapshot of a document that differs from [doc]
+    only inside the subtrees rooted at [roots] (a [Core.Delta]).  Rows
+    outside those subtrees are copied from [t] with their index columns
+    shifted; rows inside are read from [doc]; the only geometry
+    recomputed is the subtree spans of the roots' ancestors and the
+    child chains of the roots' parents.  Cost: the changed rows, a
+    search per root, the array copies, and the posting lists that hold
+    rows after the first root.  [t] is never mutated.
+
+    Copied rows keep their boxed nodes; new rows get fresh node records
+    carrying the pool's interned label strings, as a full freeze gives.
+    A label whose last row goes stays in the pool as a dead entry; when
+    dead entries would make the pool larger than [2 × live labels + 64],
+    the splice freezes [doc] afresh instead.  A root equal to the
+    document node does too. *)
 
 val to_document : t -> Document.t
 (** Thaw: rebuild the map-backed store ([to_document (of_document d)] is
@@ -65,7 +87,11 @@ val subtree_end : t -> int -> int
     exactly the indexes [i+1 .. subtree_end t i - 1]. *)
 
 val pool_size : t -> int
-(** Number of distinct labels in the string pool. *)
+(** Number of labels in the string pool: the distinct labels of a fresh
+    freeze, plus the dead ones a {!splice} left behind. *)
+
+val pool_label : t -> int -> string
+(** The label of a pool id, [0 <= id < pool_size t]. *)
 
 val find_ix : t -> Ordpath.t -> int option
 (** Binary search over the packed key column. *)
@@ -114,6 +140,9 @@ val string_value : t -> Ordpath.t -> string
 (** {1 Size accounting} *)
 
 val bytes : t -> int
-(** Approximate heap footprint of the snapshot in bytes. *)
+(** Approximate heap footprint of the snapshot in bytes: keys, boxed
+    nodes, pool labels (dead ones included) and the flat columns.
+    Carried with the snapshot and updated by each {!splice} from the rows
+    it drops and adds, so reading it is O(1). *)
 
 val bytes_per_node : t -> float

@@ -321,6 +321,56 @@ let test_axes () =
       Alcotest.fail text
   done
 
+(* Document's seeking child axes against the filter-of-descendants
+   oracle, on seeded documents (fresh and churned) and on the same
+   stores with orphans grafted in: nodes whose parent, or grandparent,
+   is missing, under the document node and under real nodes. *)
+let with_orphans doc =
+  let ids = List.map (fun (n : Node.t) -> n.id) (D.nodes doc) in
+  let graft doc cs =
+    D.add_node doc (Node.v ~id:(Ordpath.of_components cs) ~kind:Node.Element "orphan")
+  in
+  List.fold_left
+    (fun doc (i, id) ->
+      let cs = Ordpath.to_components id in
+      if i mod 3 <> 0 then doc
+      else
+        List.fold_left graft doc
+          [ cs @ [ 999; 1 ]; cs @ [ 999; 3; 5 ]; cs @ [ 1001; 1; 1 ]; cs @ [ 2; 2; 1; 7 ] ])
+    (graft (graft doc [ 77; 1 ]) [ 77; 3; 1 ])
+    (List.mapi (fun i id -> (i, id)) ids)
+
+let check_child_axes doc =
+  let probe = List.map (fun (n : Node.t) -> n.id) (D.nodes doc) @ stray_ids in
+  List.iter
+    (fun id ->
+      let axis name got want =
+        if not (same_nodes got want) then
+          failwith
+            (Printf.sprintf "%s(%s): seek [%s] / oracle [%s]" name
+               (Ordpath.to_string id) (render_nodes got) (render_nodes want))
+      in
+      axis "children" (D.children doc id) (Test_support.Doc_oracle.children doc id);
+      axis "last_child"
+        (Option.to_list (D.last_child doc id))
+        (Option.to_list (Test_support.Doc_oracle.last_child doc id));
+      axis "following_siblings" (D.following_siblings doc id)
+        (Test_support.Doc_oracle.following_siblings doc id);
+      axis "preceding_siblings" (D.preceding_siblings doc id)
+        (Test_support.Doc_oracle.preceding_siblings doc id))
+    probe
+
+let test_child_axes () =
+  for case = 0 to 59 do
+    let seed = base_seed + case in
+    let doc = random_doc seed in
+    List.iter
+      (fun d ->
+        check_child_axes d;
+        check_child_axes (with_orphans d))
+      [ doc; churn seed doc ]
+  done
+
 (* ------------------------------------------------------------------ *)
 (* (d) streaming parser ≡ in-memory parser                             *)
 (* ------------------------------------------------------------------ *)
@@ -578,16 +628,142 @@ let test_core_wiring () =
       Alcotest.fail text
   done
 
+(* ------------------------------------------------------------------ *)
+(* (f) spliced snapshots ≡ fresh freezes                               *)
+(* ------------------------------------------------------------------ *)
+
+(* XMLSECU_SPLICE_SEED overrides the splice suite's seed base, so CI can
+   sweep extra seeds without recompiling. *)
+let splice_seed =
+  match Sys.getenv_opt "XMLSECU_SPLICE_SEED" with
+  | Some s -> Option.value ~default:base_seed (int_of_string_opt (String.trim s))
+  | None -> base_seed
+
+let check_same_snapshot = Test_support.Snapshot_check.check
+
+let splice_paths =
+  churn_paths
+  @ [ "/patients/*[1]/*[1]"; "//visit/*[last()]"; "//visit/*[1]"; "/";
+      "//extra"; "//audit/@by"; "//stamp/text()"; "/patients/*[last()]" ]
+
+let splice_fragments = fragments @ [ Tree.element "extra" [] ]
+
+let random_splice_op rng =
+  let rng, path = Prng.pick rng splice_paths in
+  let rng, kind = Prng.int rng 6 in
+  let rng, tree = Prng.pick rng splice_fragments in
+  let rng, label = Prng.pick rng [ "renamed"; "extra"; "note"; "visit" ] in
+  match kind with
+  | 0 -> (rng, Op.rename path label)
+  | 1 -> (rng, Op.update path label)
+  | 2 -> (rng, Op.append path tree)
+  | 3 -> (rng, Op.insert_before path tree)
+  | 4 -> (rng, Op.insert_after path tree)
+  | _ -> (rng, Op.remove path)
+
+(* One batch of one to three ops; the roots are the union of each op's
+   affected roots, as Txn merges the per-op deltas. *)
+let apply_batch rng doc =
+  let rng, ops = Prng.int rng 3 in
+  let rec go rng doc roots i =
+    if i = 0 then (rng, doc, roots)
+    else
+      let rng, op = random_splice_op rng in
+      match Xupdate.Apply.apply doc op with
+      | o -> go rng o.Xupdate.Apply.doc (Xupdate.Apply.affected_roots o @ roots) (i - 1)
+      | exception _ -> go rng doc roots (i - 1)
+  in
+  go rng doc [] (ops + 1)
+
+let test_splice_churn () =
+  for case = 0 to 59 do
+    let seed = splice_seed + case in
+    let rng = ref (Prng.create (seed * 17 + 3)) in
+    let doc = ref (random_doc seed) in
+    let fl = ref (F.of_document !doc) in
+    for step = 1 to 40 do
+      let rng', doc', roots = apply_batch !rng !doc in
+      rng := rng';
+      let spliced = F.splice !fl doc' ~roots in
+      check_same_snapshot
+        (Printf.sprintf "seed %d step %d (roots %s)" seed step
+           (String.concat ", " (List.map Ordpath.to_string roots)))
+        doc' ~expected:(F.of_document doc') ~got:spliced;
+      doc := doc';
+      fl := spliced
+    done
+  done
+
+(* The cases the random stream may hit rarely, one by one. *)
+let test_splice_cases () =
+  let doc = ref (Workload.Gen_doc.generate
+                   { Workload.Gen_doc.patients = 3; visits_per_patient = 2;
+                     diagnosed_fraction = 1.0; seed = 5 }) in
+  let fl = ref (F.of_document !doc) in
+  let step what ops =
+    let doc', roots =
+      List.fold_left
+        (fun (d, roots) op ->
+          let o = Xupdate.Apply.apply d op in
+          if o.Xupdate.Apply.targets = [] then failwith (what ^ ": selects nothing");
+          (o.Xupdate.Apply.doc, Xupdate.Apply.affected_roots o @ roots))
+        (!doc, []) ops
+    in
+    if roots = [] then failwith (what ^ ": changes nothing");
+    let spliced = F.splice !fl doc' ~roots in
+    check_same_snapshot what doc' ~expected:(F.of_document doc') ~got:spliced;
+    doc := doc';
+    fl := spliced
+  in
+  step "insert before a first child"
+    [ Op.insert_before "/patients/*[1]/*[1]" (Tree.element "first" []) ];
+  step "remove a last child" [ Op.remove "/patients/*[2]/*[last()]" ];
+  step "remove an only child" [ Op.remove "/patients/*[1]/service/text()" ];
+  step "append a fresh label" [ Op.append "/patients/*[3]" (Tree.element "fresh" []) ];
+  step "remove its only carrier" [ Op.remove "//fresh" ];
+  Alcotest.(check (array int)) "dead label has no postings" [||]
+    (F.by_label_ix !fl "fresh");
+  step "re-allocate the dead label"
+    [ Op.append "/patients/*[1]" (Tree.element "fresh" [ Tree.text "again" ]) ];
+  step "document-level insert before the root"
+    [ Op.insert_before "/patients" (Tree.comment "lead") ];
+  step "document-level append" [ Op.append "/" (Tree.element "trailer" []) ];
+  step "document-level removal" [ Op.remove "/trailer" ];
+  step "multi-root batch"
+    [ Op.rename "/patients/*[1]" "p1"; Op.remove "/patients/*[2]/*[1]";
+      Op.append "/patients/*[3]" (Tree.element "tail" [ Tree.text "t" ]);
+      Op.insert_after "/patients/*[3]" (Tree.element "sibling" []) ];
+  step "one op, many roots" [ Op.remove "//visit" ]
+
+(* A pool full of dead labels falls back to a fresh freeze. *)
+let test_splice_dead_labels () =
+  let doc = ref (D.of_tree (Tree.element "r" [ Tree.element "x" [ Tree.text "t0" ] ])) in
+  let fl = ref (F.of_document !doc) in
+  for k = 1 to 200 do
+    let o = Xupdate.Apply.apply !doc (Op.update "/r/x" (Printf.sprintf "t%d" k)) in
+    let spliced = F.splice !fl o.Xupdate.Apply.doc ~roots:(Xupdate.Apply.affected_roots o) in
+    check_same_snapshot (Printf.sprintf "relabel %d" k) o.Xupdate.Apply.doc
+      ~expected:(F.of_document o.Xupdate.Apply.doc) ~got:spliced;
+    if F.pool_size spliced > (2 * 4) + 64 then
+      Alcotest.failf "relabel %d: pool of %d labels for 4 live ones" k
+        (F.pool_size spliced);
+    doc := o.Xupdate.Apply.doc;
+    fl := spliced
+  done
+
 (* The epoch-publishing server: flat-backed logins and broadcasts must
    serve the same views as fresh map-backed logins (reuses the freshness
-   oracle of test_differential at the Serve level). *)
+   oracle of test_differential at the Serve level), and every published
+   snapshot — spliced along each commit's delta — must equal a fresh
+   freeze of the published source. *)
 let test_serve_epochs () =
   let module P = Core.Paper_example in
   let serve = Core.Serve.create P.policy (P.document ()) in
   List.iter
     (fun user -> Core.Serve.login serve ~user)
     [ P.beaufort; P.laporte; P.richard; P.robert ];
-  let assert_fresh () =
+  let assert_fresh what =
+    Test_support.Snapshot_check.check_served what serve;
     List.iter
       (fun user ->
         let fresh =
@@ -600,20 +776,83 @@ let test_serve_epochs () =
           (D.equal (Core.Serve.view serve ~user) (Core.Session.view fresh)))
       (Core.Serve.users serve)
   in
-  assert_fresh ();
+  assert_fresh "start";
   let report =
     Core.Serve.update serve ~user:P.laporte
       (Op.update "/patients/franck/diagnosis" "cured")
   in
   Alcotest.(check bool) "update fully applied" true
     (Core.Secure_update.fully_applied report);
-  assert_fresh ();
+  assert_fresh "update";
   ignore
     (Core.Serve.update serve ~user:P.beaufort
        (Op.rename "/patients/robert" "r2"));
-  assert_fresh ();
+  assert_fresh "rename";
   Alcotest.(check int) "doctor sees the rename through the new epoch" 1
-    (List.length (Core.Serve.query serve ~user:P.laporte "/patients/r2"))
+    (List.length (Core.Serve.query serve ~user:P.laporte "/patients/r2"));
+  ignore
+    (Core.Serve.update_all serve ~user:P.beaufort
+       [ Op.append "/patients" (Tree.element "zoe" [ Tree.element "service" [] ]);
+         Op.insert_before "/patients/*[1]" (Tree.element "ann" []) ]);
+  assert_fresh "multi-root batch";
+  ignore
+    (Core.Serve.update serve ~user:P.laporte
+       (Op.remove "/patients/franck/diagnosis/node()"));
+  assert_fresh "removal"
+
+let published serve ~user =
+  match Core.Lazy_view.flat (Core.Serve.lazy_view serve ~user) with
+  | Some fl -> fl
+  | None -> Alcotest.fail "served lazy views carry a snapshot"
+
+(* A commit is spliced from the published snapshot only when it was
+   staged on the published document.  Here a second commit lands while
+   the first is staging (from an event tap, so the interleaving is
+   deterministic): the first then publishes a document staged on an
+   older epoch, and must freeze it whole.  A spliced snapshot shares the
+   node records of the rows it copied — the document node's included —
+   while a fresh freeze allocates them all. *)
+let test_serve_stale_stage () =
+  let module P = Core.Paper_example in
+  let serve = Core.Serve.create P.policy (P.document ()) in
+  List.iter (fun user -> Core.Serve.login serve ~user) [ P.laporte; P.beaufort ];
+  let spliced ~before ~after = F.node after 0 == F.node before 0 in
+  let before = published serve ~user:P.laporte in
+  ignore (Core.Serve.update serve ~user:P.beaufort (Op.rename "/patients/robert" "r2"));
+  Test_support.Snapshot_check.check_served "plain commit" serve;
+  Alcotest.(check bool) "a commit on the published document splices" true
+    (spliced ~before ~after:(published serve ~user:P.laporte));
+  let fired = ref false and interleaved = ref None in
+  let was_enabled = Obs.Events.enabled () in
+  Obs.Events.set_enabled true;
+  Obs.Events.set_tap ~name:"test_flat.interleave"
+    (Some
+       (fun e ->
+         match e.Obs.Events.kind with
+         | Obs.Events.Commit _ when not !fired ->
+           fired := true;
+           ignore
+             (Core.Serve.update serve ~user:P.beaufort
+                (Op.rename "/patients/r2" "r3"));
+           interleaved := Some (published serve ~user:P.laporte)
+         | _ -> ()));
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Events.set_tap ~name:"test_flat.interleave" None;
+      Obs.Events.set_enabled was_enabled)
+    (fun () ->
+      ignore
+        (Core.Serve.update serve ~user:P.laporte
+           (Op.update "/patients/franck/diagnosis" "cured")));
+  let mid = Option.get !interleaved in
+  let final = published serve ~user:P.laporte in
+  Test_support.Snapshot_check.check_served "stale stage" serve;
+  Alcotest.(check bool) "the stale-staged commit froze afresh" false
+    (spliced ~before:mid ~after:final);
+  ignore (Core.Serve.update serve ~user:P.beaufort (Op.rename "/patients/*[2]" "r4"));
+  Test_support.Snapshot_check.check_served "after the stale stage" serve;
+  Alcotest.(check bool) "the next commit splices again" true
+    (spliced ~before:final ~after:(published serve ~user:P.laporte))
 
 let () =
   Alcotest.run "flat"
@@ -630,6 +869,8 @@ let () =
         [
           Alcotest.test_case "60 seeded docs, all axes + index" `Quick
             test_axes;
+          Alcotest.test_case "child axes = descendant-filter oracle, orphans too"
+            `Quick test_child_axes;
         ] );
       ( "streaming",
         [
@@ -646,5 +887,16 @@ let () =
             test_core_wiring;
           Alcotest.test_case "serve publishes consistent epochs" `Quick
             test_serve_epochs;
+        ] );
+      ( "splice",
+        [
+          Alcotest.test_case "60 seeded docs x 40 batches, splice = freeze"
+            `Quick test_splice_churn;
+          Alcotest.test_case "edge cases, splice = freeze" `Quick
+            test_splice_cases;
+          Alcotest.test_case "dead labels stay bounded" `Quick
+            test_splice_dead_labels;
+          Alcotest.test_case "stale-staged commit freezes afresh" `Quick
+            test_serve_stale_stage;
         ] );
     ]

@@ -350,7 +350,8 @@ let check_serve_views serve users =
         List.length got <> List.length want
         || not (List.for_all2 Ordpath.equal got want)
       then Alcotest.failf "rekeyed query answers for %s diverge" user)
-    users
+    users;
+  Test_support.Snapshot_check.check_served "rekeyed serve" serve
 
 let test_serve_split_merge () =
   let serve = Core.Serve.create (rekey_policy ()) (rekey_doc ()) in
@@ -472,7 +473,7 @@ let test_visibility_survival () =
   in
   let commit ops =
     match Core.Serve.commit_ops serve ~user:"ed" ops with
-    | Ok _ -> ()
+    | Ok _ -> Test_support.Snapshot_check.check_served "visibility commit" serve
     | Error e -> Alcotest.fail (Core.Txn.error_to_string e)
   in
   let add d p path subject =
@@ -627,6 +628,8 @@ let build_mixed_store dir =
     (fun i (user, ops) ->
       match Core.Serve.commit_ops serve ~user ops with
       | Ok _ ->
+        Test_support.Snapshot_check.check_served
+          (Printf.sprintf "mixed script step %d" i) serve;
         boundaries :=
           ( file_size journal,
             i + 1,
