@@ -147,8 +147,14 @@ let query_cmd =
             let flat = Xmldoc.Flat.of_document (Core.Session.source session) in
             let lv = Core.Lazy_view.of_session ~flat session in
             let plan = Core.Rewrite.plan_str q in
-            Printf.eprintf "rewrite: %s path\n%!"
-              (if Core.Rewrite.compiled plan then "compiled" else "fallback");
+            Printf.eprintf "rewrite: %s path%s\n%!"
+              (if Core.Rewrite.compiled plan then "compiled" else "fallback")
+              (match Core.Rewrite.anchor plan flat with
+               | Some a ->
+                 Printf.sprintf " (anchored on %s)"
+                   (String.concat ", " (Xpath.Compile.anchor_names a))
+               | None when Core.Rewrite.compiled plan -> " (scan)"
+               | None -> "");
             Core.Rewrite.select
               ~vars:(Core.Session.user_vars session)
               plan lv
@@ -709,9 +715,10 @@ let explain_cmd =
       & info [ "plan" ]
           ~doc:"Explain the query instead of its nodes: serve XPATH through \
                 the secure read path and print the recorded execution plan \
-                — rewrite vs fallback, automaton product states, nodes \
-                visited and pruned, answer count, deciding rules, \
-                permission class and latency.")
+                — rewrite vs fallback, a scan of the snapshot vs a run \
+                anchored on the label index (and its labels), automaton \
+                product states, nodes visited and pruned, answer count, \
+                deciding rules, permission class and latency.")
   in
   let run doc policy user path plan_mode json =
     if not plan_mode then

@@ -18,6 +18,10 @@ let m_rebase_full =
   Obs.Metrics.counter Obs.Metrics.default "lazy_view_rebase_full_total"
     ~help:"Rebases that discarded the whole memo (Delta.All)"
 
+let m_oracle_patched =
+  Obs.Metrics.counter Obs.Metrics.default "lazy_view_oracle_patched_total"
+    ~help:"Visibility oracles a rebase patched along its delta"
+
 type stats = { mutable hits : int; mutable misses : int }
 
 type t = {
@@ -29,9 +33,9 @@ type t = {
          the node map and [memo] *)
   mutable flat_vis : Bytes.t option;
       (* byte-per-index visibility over [flat] (Perm.flat_visibility),
-         built on first demand and kept by a rebase only when neither
-         the snapshot nor any visibility decision changed -- the
-         per-epoch analogue of [memo] *)
+         built on first demand; a rebase along a local delta patches it
+         (or keeps it, across an empty delta onto the same snapshot) --
+         the per-epoch analogue of [memo] *)
   memo : (Ordpath.t, bool) Hashtbl.t;
       (* flat-less views only *)
   stats : stats;
@@ -57,6 +61,8 @@ let flat_visibility t =
         v
     in
     Some (fl, vis)
+
+let oracle t = t.flat_vis
 
 (* The snapshot index of a node the oracle shows; [None] for hidden
    nodes and for identifiers the snapshot does not hold. *)
@@ -105,28 +111,36 @@ let visible t id =
    descendants, and a decision depends only on the node's own permissions
    and its ancestors' — all inside the range whenever any of them is).
    The surviving entries migrate to the rebased value; the old value must
-   not be used afterwards, as the table is shared, not copied. *)
+   not be used afterwards, as the table is shared, not copied.  The
+   oracle follows the same argument byte by byte: a held one is patched
+   along the delta into fresh bytes (readers of the old value may still
+   hold the old ones), or dropped when the patch would cost a commit
+   most of a full build. *)
 let rebase ?flat t doc perm delta =
   match delta with
   | Delta.All ->
     Obs.Metrics.inc m_rebase_full;
     { doc; perm; flat; flat_vis = None; memo = Hashtbl.create 64;
       stats = t.stats }
-  | Delta.Local [] ->
-    (* No visibility decision changed: the oracle still describes the
-       view, provided it indexes the very same snapshot. *)
+  | Delta.Local roots ->
+    if roots <> [] then begin
+      Obs.Metrics.inc m_rebase_incremental;
+      Hashtbl.filter_map_inplace
+        (fun id v -> if Delta.affects delta id then None else Some v)
+        t.memo
+    end;
     let flat_vis =
-      match (flat, t.flat) with
-      | Some fl, Some fl' when fl == fl' -> t.flat_vis
+      match (flat, t.flat, t.flat_vis) with
+      | Some fl, Some prev, Some _ when fl == prev && roots = [] ->
+        (* No visibility decision changed on the very same snapshot. *)
+        t.flat_vis
+      | Some fl, Some prev, Some pvis ->
+        let patched = Perm.patch_visibility perm fl ~prev:(prev, pvis) roots in
+        if Option.is_some patched then Obs.Metrics.inc m_oracle_patched;
+        patched
       | _ -> None
     in
     { t with doc; perm; flat; flat_vis }
-  | Delta.Local _ ->
-    Obs.Metrics.inc m_rebase_incremental;
-    Hashtbl.filter_map_inplace
-      (fun id v -> if Delta.affects delta id then None else Some v)
-      t.memo;
-    { t with doc; perm; flat; flat_vis = None }
 
 let label t id =
   if Ordpath.equal id Ordpath.document then Some "/"

@@ -56,8 +56,13 @@ val flat_visibility : t -> (Xmldoc.Flat.t * Bytes.t) option
 (** The snapshot paired with its byte-per-index visibility oracle
     ({!Perm.flat_visibility}): byte [i] is [0] (hidden), [1] (visible,
     source label) or [2] (visible as RESTRICTED).  Built on first demand
-    and cached; a {!rebase} keeps it only across an empty delta onto the
-    physically same snapshot.  [None] without a snapshot. *)
+    and cached; a {!rebase} keeps it across an empty delta onto the
+    physically same snapshot and otherwise patches it along a local
+    delta ({!Perm.patch_visibility}).  [None] without a snapshot. *)
+
+val oracle : t -> Bytes.t option
+(** The visibility oracle when one is held — built by a read or patched
+    by a {!rebase} — without building it. *)
 
 val remap : t -> Xmldoc.Node.t -> Xmldoc.Node.t
 (** The node as the view presents it: unchanged under [read], label
@@ -89,10 +94,14 @@ val rebase :
     session whose rules are downward — widen to {!Delta.all} otherwise,
     e.g. when {!Session.policy_local} is false).  The memo table is
     shared, not copied: the old value must not be used after a rebase.
-    Hit/miss counters survive the rebase.  The visibility oracle
-    survives only an empty delta onto the physically same snapshot —
-    e.g. a policy commit that moved no read or position decision
-    ({!Session.apply_policy}); any other rebase rebuilds it on demand. *)
+    Hit/miss counters survive the rebase.  A held visibility oracle
+    survives an empty delta onto the physically same snapshot — e.g. a
+    policy commit that moved no read or position decision
+    ({!Session.apply_policy}) — and is patched into fresh bytes along any
+    other local delta, given that the old snapshot was the one the
+    delta's document change started from ({!Perm.patch_visibility});
+    {!Delta.All}, a patch too large for a commit, or no oracle leave it
+    to be rebuilt on demand. *)
 
 val hits : t -> int
 (** Memo lookups answered from the cache since creation (or the last

@@ -3,6 +3,27 @@
    decisions in exactly that order, so [compute] builds each store in one
    O(n) pass instead of n [Map.add] rebalances; lookups are binary
    searches. *)
+(* First index in [from, len) at which [below] turns false ([len] when
+   it never does), given that [below] holds on a prefix: an exponential
+   probe from [from], then a binary search inside the last step.  A run
+   of searches for ascending keys, each starting where the previous one
+   ended, costs the log of each gap rather than of the whole array. *)
+let gallop ~len ~below from =
+  if from >= len || not (below from) then from
+  else begin
+    let step = ref 1 in
+    while from + !step < len && below (from + !step) do
+      step := !step lsl 1
+    done;
+    let lo = ref (from + (!step lsr 1) + 1)
+    and hi = ref (min (from + !step) len) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if below mid then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+
 module Dmap = struct
   type 'a t = (Ordpath.t * 'a) array
 
@@ -16,6 +37,12 @@ module Dmap = struct
         if c = 0 then Some v else if c < 0 then go lo mid else go (mid + 1) hi
     in
     go 0 (Array.length t)
+
+  (* First index at or after [from] whose key is [>= key]. *)
+  let lower_bound (t : 'a t) ~from key =
+    gallop ~len:(Array.length t)
+      ~below:(fun i -> Ordpath.compare (fst t.(i)) key < 0)
+      from
 
   (* Ascending key order, like [Map.fold]. *)
   let fold f (t : 'a t) init =
@@ -39,33 +66,12 @@ module Dmap = struct
     if lb = 0 then a
     else if la = 0 then b
     else begin
-      (* First key >= [key] at or after [from]. *)
-      let gallop from key =
-        if from >= la || Ordpath.compare (fst a.(from)) key >= 0 then from
-        else begin
-          let step = ref 1 in
-          while
-            from + !step < la
-            && Ordpath.compare (fst a.(from + !step)) key < 0
-          do
-            step := !step lsl 1
-          done;
-          let lo = ref (from + (!step lsr 1) + 1)
-          and hi = ref (min (from + !step) la) in
-          while !lo < !hi do
-            let mid = (!lo + !hi) lsr 1 in
-            if Ordpath.compare (fst a.(mid)) key < 0 then lo := mid + 1
-            else hi := mid
-          done;
-          !lo
-        end
-      in
       let pos = Array.make lb 0 in
       let dup = Bytes.make lb '\000' in
       let news = ref 0 in
       let i = ref 0 in
       for j = 0 to lb - 1 do
-        let p = gallop !i (fst b.(j)) in
+        let p = lower_bound a ~from:!i (fst b.(j)) in
         pos.(j) <- p;
         if p < la && Ordpath.compare (fst a.(p)) (fst b.(j)) = 0 then
           Bytes.set dup j '\001'
@@ -97,7 +103,10 @@ module Dmap = struct
      array, so with [roots] sorted and disjoint (see {!Delta.of_roots})
      and [additions] ascending with every key under some root, the result
      assembles from a handful of binary searches and array blits — no
-     per-entry predicate over the unaffected bulk. *)
+     per-entry predicate over the unaffected bulk.  When every span comes
+     back entry for entry (same node, physically the same rule) — a
+     relabel that moved no decision, a rule re-match that kept every
+     winner — [base] itself is the result, and nothing is copied. *)
   let splice (base : 'a t) roots (additions : 'a t) =
     match roots with
     | [] -> base
@@ -105,17 +114,11 @@ module Dmap = struct
       let nb = Array.length base and na = Array.length additions in
       let segs = ref [] in (* (source, offset, length), reversed *)
       let prev = ref 0 and ac = ref 0 in
+      let same = ref true in
       List.iter
         (fun root ->
           (* First key >= root: the span start, if the span is non-empty. *)
-          let rec lb lo hi =
-            if lo >= hi then lo
-            else
-              let mid = (lo + hi) lsr 1 in
-              if Ordpath.compare (fst base.(mid)) root < 0 then lb (mid + 1) hi
-              else lb lo mid
-          in
-          let lo = lb !prev nb in
+          let lo = lower_bound base ~from:!prev root in
           let hi = ref lo in
           while
             !hi < nb
@@ -132,21 +135,33 @@ module Dmap = struct
             incr ac
           done;
           if !ac > a0 then segs := (additions, a0, !ac - a0) :: !segs;
+          if !same then begin
+            let len = !hi - lo in
+            same := len = !ac - a0;
+            let k = ref 0 in
+            while !same && !k < len do
+              let kb, vb = base.(lo + !k) and ka, va = additions.(a0 + !k) in
+              same := vb == va && Ordpath.equal kb ka;
+              incr k
+            done
+          end;
           prev := !hi)
         roots;
       if nb > !prev then segs := (base, !prev, nb - !prev) :: !segs;
-      (match List.rev !segs with
-       | [] -> [||]
-       | ((first, off, _) :: _) as segs ->
-         let total = List.fold_left (fun t (_, _, l) -> t + l) 0 segs in
-         let out = Array.make total first.(off) in
-         let pos = ref 0 in
-         List.iter
-           (fun (src, off, len) ->
-             Array.blit src off out !pos len;
-             pos := !pos + len)
-           segs;
-         out)
+      if !same && !ac = na then base
+      else
+        match List.rev !segs with
+        | [] -> [||]
+        | ((first, off, _) :: _) as segs ->
+          let total = List.fold_left (fun t (_, _, l) -> t + l) 0 segs in
+          let out = Array.make total first.(off) in
+          let pos = ref 0 in
+          List.iter
+            (fun (src, off, len) ->
+              Array.blit src off out !pos len;
+              pos := !pos + len)
+            segs;
+          out
 end
 
 type t = {
@@ -287,6 +302,17 @@ let partition_rules rules =
 let higher_priority (a : Rule.t) (b : Rule.t) =
   if a.priority >= b.priority then a else b
 
+(* One [Eval.select] per distinct rule path text. *)
+let memo_select env =
+  let cache : (string, Ordpath.t list) Hashtbl.t = Hashtbl.create 16 in
+  fun (r : Rule.t) ->
+    match Hashtbl.find_opt cache r.path_src with
+    | Some ids -> ids
+    | None ->
+      let ids = Xpath.Eval.select env r.path in
+      Hashtbl.add cache r.path_src ids;
+      ids
+
 (* Fallback: evaluate each non-downward rule with the general evaluator
    ($USER bound), sharing selections across rules with identical path
    text, and merge the resulting decisions into [decisions] by rule
@@ -296,19 +322,11 @@ let merge_fallback ?stats ?flat doc ~user decisions rules =
   | [] -> decisions
   | rules ->
     let vars = [ ("USER", Xpath.Value.Str user) ] in
-    let env =
-      match flat with
-      | Some fl -> Xpath.Eval.env_of_source ~vars (Xpath.Source.of_flat fl)
-      | None -> Xpath.Eval.env ~vars doc
-    in
-    let cache : (string, Ordpath.t list) Hashtbl.t = Hashtbl.create 16 in
-    let select (r : Rule.t) =
-      match Hashtbl.find_opt cache r.path_src with
-      | Some ids -> ids
-      | None ->
-        let ids = Xpath.Eval.select env r.path in
-        Hashtbl.add cache r.path_src ids;
-        ids
+    let select =
+      memo_select
+        (match flat with
+         | Some fl -> Xpath.Eval.env_of_source ~vars (Xpath.Source.of_flat fl)
+         | None -> Xpath.Eval.env ~vars doc)
     in
     let extras : (Ordpath.t * Rule.t) list array = Array.make 5 [] in
     List.iter
@@ -371,16 +389,8 @@ let compute ?flat policy doc ~user =
    differential-testing and benchmarking baseline.  Only the final O(n)
    conversion into the sorted-array store differs from the original. *)
 let compute_per_rule policy doc ~user =
-  let vars = [ ("USER", Xpath.Value.Str user) ] in
-  let env = Xpath.Eval.env ~vars doc in
-  let cache : (string, Ordpath.t list) Hashtbl.t = Hashtbl.create 16 in
-  let select (r : Rule.t) =
-    match Hashtbl.find_opt cache r.path_src with
-    | Some ids -> ids
-    | None ->
-      let ids = Xpath.Eval.select env r.path in
-      Hashtbl.add cache r.path_src ids;
-      ids
+  let select =
+    memo_select (Xpath.Eval.env ~vars:[ ("USER", Xpath.Value.Str user) ] doc)
   in
   let maps = Array.make 5 Ordpath.Map.empty in
   (* Ascending priority: later rules overwrite earlier decisions. *)
@@ -447,10 +457,17 @@ let resplice ?flat t rules doc roots =
   (match flat with
    | Some fl ->
      (* One shared run over all the roots — {!Delta.of_roots} yields them
-        disjoint and ascending, which is exactly the plural fold's
+        disjoint and ascending, which is exactly the range fold's
         contract. *)
-     let ixs = List.filter_map (Xmldoc.Flat.find_ix fl) roots in
-     Xpath.Compile.fold_subtrees_flat matcher fl ~roots:ixs ~init:() ~f
+     let ranges =
+       List.filter_map
+         (fun root ->
+           Option.map
+             (fun ix -> (ix, Xmldoc.Flat.subtree_end fl ix))
+             (Xmldoc.Flat.find_ix fl root))
+         roots
+     in
+     Xpath.Compile.fold_ranges_flat matcher fl ~ranges ~init:() ~f
    | None ->
      List.iter
        (fun root -> Xpath.Compile.fold_subtree matcher doc ~root ~init:() ~f)
@@ -515,91 +532,6 @@ let update_policy ?flat t ~old_policy policy doc =
       in
       let added = List.filter (changed om) new_rules in
       let removed = List.filter (changed nm) old_rules in
-      (* Candidate-root plan for the added paths.  The steps of a
-         downward path thread parent-to-descendant, so every element
-         name tested along a union branch is guaranteed to sit on the
-         ancestor-or-self chain of each of that branch's matches.  With
-         a flat snapshot, the label index then bounds the selection to
-         the subtrees of the nodes bearing the branch's rarest such
-         name — usually a handful of small subtrees instead of the
-         whole document.  [None] when some branch carries no name test
-         ([//node()]) or the candidates are too dense to beat one full
-         scan. *)
-      let anchored_roots fl =
-        let module A = Xpath.Ast in
-        let module F = Xmldoc.Flat in
-        let branch_names (p : A.path) =
-          List.filter_map
-            (fun (s : A.step) ->
-              match (s.axis, s.test) with
-              | (A.Child | A.Descendant | A.Descendant_or_self | A.Self),
-                A.Name l ->
-                Some l
-              | _ -> None)
-            p.steps
-        in
-        let rec branches e acc =
-          match (e : A.expr) with
-          | A.Union (a, b) -> Option.bind (branches a acc) (branches b)
-          | A.Path p -> (
-            match branch_names p with
-            | [] -> None
-            | names -> Some (names :: acc))
-          | _ -> None
-        in
-        match
-          List.fold_left
-            (fun acc (r : Rule.t) -> Option.bind acc (branches r.Rule.path))
-            (Some []) added
-        with
-        | None -> None
-        | Some branches ->
-          let rarest names =
-            List.fold_left
-              (fun best l ->
-                let n = Array.length (F.by_label_ix fl l) in
-                match best with
-                | Some (_, bn) when bn <= n -> best
-                | _ -> Some (l, n))
-              None names
-          in
-          let seen = Hashtbl.create 8 in
-          let labels =
-            List.filter_map
-              (fun names ->
-                match rarest names with
-                | Some (l, _) when not (Hashtbl.mem seen l) ->
-                  Hashtbl.add seen l ();
-                  Some l
-                | _ -> None)
-              branches
-          in
-          let ixs =
-            List.sort_uniq compare
-              (List.concat_map
-                 (fun l -> Array.to_list (F.by_label_ix fl l))
-                 labels)
-          in
-          (* Nested candidates collapse into their outermost ancestor so
-             the subtree folds stay disjoint. *)
-          let limit = ref 0 and covered = ref 0 and nroots = ref 0 in
-          let roots =
-            List.filter
-              (fun ix ->
-                if ix < !limit then false
-                else begin
-                  limit := F.subtree_end fl ix;
-                  covered := !covered + (!limit - ix);
-                  incr nroots;
-                  true
-                end)
-              ixs
-          in
-          (* Each root pays a short ancestor re-thread on top of its
-             span; past that budget one full scan is cheaper. *)
-          if !covered + (10 * !nroots) > F.size fl then None
-          else Some roots
-      in
       (* (a) nodes the added/changed rules now select — one compiled
          pass over just the changed paths (they are downward, or the
          [local_rules] guard above would have sent us to [compute]),
@@ -616,10 +548,14 @@ let update_policy ?flat t ~old_policy policy doc =
         let f = f (node_pusher ?stats ()) in
         (match flat with
          | Some fl -> (
-           match anchored_roots fl with
-           | Some roots ->
-             Xpath.Compile.fold_subtrees_flat matcher fl ~roots ~init:() ~f
-           | None -> Xpath.Compile.fold_flat matcher fl ~init:() ~f)
+           (* The added paths usually name rare labels: the label index
+              then bounds the selection to a few rows or subtrees, under
+              the same cost rule as an anchored read. *)
+           match Xpath.Compile.anchor matcher fl with
+           | Some a when Xpath.Compile.anchor_pays fl a ->
+             Xpath.Compile.fold_ranges_flat matcher fl
+               ~ranges:(Xpath.Compile.anchor_ranges fl a) ~init:() ~f
+           | Some _ | None -> Xpath.Compile.fold_flat matcher fl ~init:() ~f)
          | None -> Xpath.Compile.fold matcher doc ~init:() ~f);
         (Array.map Dmap.of_rev_list acc, List.rev !ids)
       in
@@ -687,47 +623,132 @@ let holds t privilege id =
   | Some r -> r.Rule.decision = Rule.Accept
   | None -> false
 
-(* Visibility of every node of a frozen snapshot, one byte per flat
-   index: 0 hidden, 1 visible with its source label, 2 visible as
+(* Visibility of the rows [lo, hi) of a frozen snapshot, one byte per
+   flat index: 0 hidden, 1 visible with its source label, 2 visible as
    RESTRICTED (position-only) — axioms 15-17 in array form.  The decision
    stores are sorted in document order, which is exactly flat index
-   order, so instead of a binary search per node the scan advances one
-   pointer per store: O(n + |decisions|) total, no ordpath hashing.
-   Parents precede children in index order, so the top-down "parent
-   selected" premise reads the byte already written at [parent_ix]. *)
-let flat_visibility t fl =
+   order, so instead of a binary search per node one cursor per store
+   (read, position) moves forward through it, galloping from where the
+   previous range left it: ascending ranges cost their rows plus the log
+   of each gap, no ordpath hashing.  Parents precede children in index
+   order, so the top-down "parent selected" premise reads the byte
+   already written at [parent_ix] — inside the range, or outside it when
+   the caller has already filled that row. *)
+let fill_visibility t fl vis (ri, pi) lo hi =
   let module F = Xmldoc.Flat in
-  let n = F.size fl in
-  let vis = Bytes.make n '\000' in
-  if n > 0 then begin
-    let read = t.decisions.(privilege_index Privilege.Read) in
-    let pos = t.decisions.(privilege_index Privilege.Position) in
-    let ri = ref 0 and pi = ref 0 in
-    let accepts (store : Rule.t Dmap.t) ptr id =
-      let len = Array.length store in
-      let rec at () =
-        if !ptr >= len then false
-        else
-          let c = Ordpath.compare (fst store.(!ptr)) id in
-          if c < 0 then begin
-            incr ptr;
-            at ()
-          end
-          else c = 0
-      in
-      at () && (snd store.(!ptr)).Rule.decision = Rule.Accept
-    in
-    Bytes.unsafe_set vis 0 '\001' (* the document node: axiom 15 *);
-    for i = 1 to n - 1 do
-      let p = F.parent_ix fl i in
-      if p >= 0 && Bytes.unsafe_get vis p <> '\000' then begin
-        let id = (F.node fl i).Xmldoc.Node.id in
-        if accepts read ri id then Bytes.unsafe_set vis i '\001'
-        else if accepts pos pi id then Bytes.unsafe_set vis i '\002'
-      end
-    done
+  let read = t.decisions.(privilege_index Privilege.Read) in
+  let pos = t.decisions.(privilege_index Privilege.Position) in
+  if lo < hi && lo > 0 then begin
+    let id = F.id fl lo in
+    ri := Dmap.lower_bound read ~from:!ri id;
+    pi := Dmap.lower_bound pos ~from:!pi id
   end;
+  let accepts (store : Rule.t Dmap.t) ptr id =
+    let len = Array.length store in
+    let rec at () =
+      if !ptr >= len then false
+      else
+        let c = Ordpath.compare (fst store.(!ptr)) id in
+        if c < 0 then begin
+          incr ptr;
+          at ()
+        end
+        else c = 0
+    in
+    at () && (snd store.(!ptr)).Rule.decision = Rule.Accept
+  in
+  for i = lo to hi - 1 do
+    let p = F.parent_ix fl i in
+    Bytes.unsafe_set vis i
+      (if p < 0 then '\001' (* the document node: axiom 15 *)
+       else if Bytes.unsafe_get vis p = '\000' then '\000'
+       else
+         let id = F.id fl i in
+         if accepts read ri id then '\001'
+         else if accepts pos pi id then '\002'
+         else '\000')
+  done
+
+let flat_visibility t fl =
+  Obs.Trace.with_span "perm.flat_visibility" @@ fun () ->
+  let n = Xmldoc.Flat.size fl in
+  let vis = Bytes.create n in
+  fill_visibility t fl vis (ref 0, ref 0) 0 n;
   vis
+
+(* A patch runs inside a commit ([Lazy_view.rebase]).  It costs the rows
+   it recomputes plus four short searches per delta root, which take as
+   long as some 64 rows of a full build (measured on a 10^5-node Zipf
+   document).  Past an eighth of a large snapshot that would move much
+   of a full build into the commit — a read-rule toggle on a hot label
+   roots thousands of subtrees — so the patch declines and leaves the
+   build to the first read; a few thousand rows' worth cost a fraction
+   of a millisecond and are always patched. *)
+let root_cost = 64
+let patch_limit n = max (n / 8) 4096
+
+(* A commit changes documents and decisions only inside its delta's
+   subtrees, and a row outside them has its parent outside them too, so
+   its byte cannot change: the rows between the subtrees are copied from
+   the previous oracle, shifted by the net size change of the subtrees
+   before them, and only the subtrees' rows are recomputed.  A subtree is
+   one contiguous row range in either snapshot (empty where its root is
+   absent), found by a search over the packed keys that starts where the
+   previous root's range ended.  Row counts that do not line up between
+   the snapshots mean the delta does not describe them: no patch then. *)
+let patch_visibility t fl ~prev:(pfl, pvis) roots =
+  let module F = Xmldoc.Flat in
+  let n = F.size fl and pn = F.size pfl in
+  let span f from key =
+    let lo =
+      gallop ~len:(F.size f)
+        ~below:(fun i -> Ordpath.compare_packed (F.key f i) key < 0)
+        from
+    in
+    if lo < F.size f && String.equal (F.key f lo) key then
+      (lo, F.subtree_end f lo)
+    else (lo, lo)
+  in
+  (* The roots' ranges in both snapshots, closed by an empty range at the
+     end; [None] once they cost more than a patch may, or unless the
+     roots ascend without nesting, as a normalised delta's do. *)
+  let limit = patch_limit n in
+  let rec spans acc cost last pfrom from = function
+    | [] -> Some (List.rev (((pn, pn), (n, n)) :: acc))
+    | root :: rest ->
+      let key = Ordpath.pack root in
+      let unordered =
+        Option.fold ~none:false
+          ~some:(fun last ->
+            Ordpath.compare_packed last key >= 0
+            || Ordpath.is_packed_prefix last key)
+          last
+      in
+      let ((_, phi) as pspan) = span pfl pfrom key
+      and ((lo, hi) as nspan) = span fl from key in
+      let cost = cost + (hi - lo) + root_cost in
+      if unordered || cost > limit then None
+      else spans ((pspan, nspan) :: acc) cost (Some key) phi hi rest
+  in
+  let patch spans =
+    let vis = Bytes.create n in
+    let cursors = (ref 0, ref 0) in
+    (* [pprev]/[prev]: where the current gap starts in each snapshot. *)
+    let rec go pprev prev = function
+      | [] -> true
+      | ((plo, phi), (lo, hi)) :: rest ->
+        plo >= pprev && lo >= prev
+        && plo - pprev = lo - prev
+        && begin
+          Bytes.blit pvis pprev vis prev (lo - prev);
+          fill_visibility t fl vis cursors lo hi;
+          go phi hi rest
+        end
+    in
+    if go 0 0 spans then Some vis else None
+  in
+  if Bytes.length pvis <> pn || List.length roots * root_cost > limit then None
+  else Option.bind (spans [] 0 None 0 0 roots) patch
 
 let permitted t privilege =
   Dmap.fold

@@ -82,7 +82,26 @@ val flat_visibility : t -> Xmldoc.Flat.t -> Bytes.t
     snapshot share document order, so the whole array costs one merge
     scan — no per-node binary search.  Byte [i] is non-zero iff node [i]
     is in the {!View.derive} materialisation; the secure read paths
-    consume it as an O(1) per-node visibility oracle. *)
+    consume it as an O(1) per-node visibility oracle.  Runs inside a
+    [perm.flat_visibility] trace span. *)
+
+val patch_visibility :
+  t -> Xmldoc.Flat.t -> prev:Xmldoc.Flat.t * Bytes.t -> Ordpath.t list ->
+  Bytes.t option
+(** [patch_visibility t fl ~prev:(pfl, pvis) roots] is
+    [Some (flat_visibility t fl)], computed from the previous snapshot's
+    oracle [pvis] instead of from scratch, given that [pfl]'s document
+    and the decisions [pvis] was built from differ from [fl]'s and [t]'s
+    only inside the subtrees rooted at [roots] (a local {!Delta}, sorted
+    and disjoint).  Rows outside those subtrees keep their byte, shifted
+    to their new index; rows inside are recomputed from their parent's
+    byte.  Cost: a copy of the bytes, a few short searches per root, and
+    the subtrees' rows.  [pvis] is never mutated.  [None] when the
+    subtrees' rows plus a fixed charge per root come to more than an
+    eighth of [fl]'s rows and more than 4096 (a full build is then left
+    to the first read), when the roots do not ascend without nesting,
+    or when the row counts outside the subtrees disagree between [pfl]
+    and [fl]. *)
 
 val deciding_rule : t -> Privilege.t -> Ordpath.t -> Rule.t option
 (** The rule that decided the privilege on this node ([None] when no

@@ -2,10 +2,16 @@
    the user privileges on the queries"): instead of materialising a view
    per user, a downward query is compiled to its automaton once and run
    over the *shared* source in product with the user's visibility
-   predicate — Compile.fold_view prunes hidden subtrees wholesale and
+   predicate — the view callback prunes hidden subtrees wholesale and
    feeds the automaton the view labels (RESTRICTED under position-only),
    so name tests can neither match what the user must not read nor miss
-   what the view renames.  Queries outside the downward fragment fall
+   what the view renames.  On a snapshot, a query whose every branch
+   names a label runs only over that label's rows (or their subtrees)
+   when the posting lists are short enough (Compile.anchor): a view
+   node's visibility depends only on its ancestor chain, and so does a
+   downward match, so re-threading the automaton down each candidate's
+   chain decides it exactly as the full scan would.  Queries outside
+   the downward fragment fall
    back to the general evaluator over the Lazy_view source, which
    enforces the same axioms per axis call (on the snapshot's visibility
    oracle when there is one).  Both paths return exactly what
@@ -16,6 +22,10 @@ let m_compiled =
   Obs.Metrics.counter Obs.Metrics.default "rewrite_compiled_total"
     ~help:"Queries answered by the compiled rewrite (automaton x visibility)"
 
+let m_anchored =
+  Obs.Metrics.counter Obs.Metrics.default "rewrite_anchored_total"
+    ~help:"Compiled queries answered from label-index candidates"
+
 let m_fallback =
   Obs.Metrics.counter Obs.Metrics.default "rewrite_fallback_total"
     ~help:"Queries outside the downward fragment served via the lazy view"
@@ -23,7 +33,20 @@ let m_fallback =
 type t = {
   expr : Xpath.Ast.expr;
   compiled : unit Xpath.Compile.t option;
+  names_restricted : bool;
+      (* a name test asks for RESTRICTED: position-only nodes carry that
+         name only in the view, and the posting lists hold source
+         labels, so such a query never anchors *)
 }
+
+let rec names_restricted (e : Xpath.Ast.expr) =
+  match e with
+  | Xpath.Ast.Union (a, b) -> names_restricted a || names_restricted b
+  | Xpath.Ast.Path p ->
+    List.exists
+      (fun (s : Xpath.Ast.step) -> s.test = Xpath.Ast.Name View.restricted)
+      p.steps
+  | _ -> false
 
 (* Downward queries can never mention $USER (Var is outside the
    fragment), so one compiled plan is sound for every user — and, a
@@ -34,12 +57,22 @@ let plan expr =
       Some (Xpath.Compile.compile [ ((), expr) ])
     else None
   in
-  { expr; compiled }
+  { expr; compiled; names_restricted = names_restricted expr }
 
 let plan_str src = plan (Xpath.Parser.parse_path src)
 
 let compiled t = Option.is_some t.compiled
 let expr t = t.expr
+
+let anchorable t fl =
+  match t.compiled with
+  | Some auto when not t.names_restricted -> Xpath.Compile.anchor auto fl
+  | Some _ | None -> None
+
+let anchor t fl =
+  match anchorable t fl with
+  | Some a when Xpath.Compile.anchor_pays fl a -> Some a
+  | Some _ | None -> None
 
 let select ?vars ?stats t lv =
   match t.compiled with
@@ -49,7 +82,7 @@ let select ?vars ?stats t lv =
         let f acc (n : Xmldoc.Node.t) _ = n.id :: acc in
         List.rev
           (match Lazy_view.flat_visibility lv with
-           | Some (fl, vis) ->
+           | Some (fl, vis) -> (
              (* Per-epoch byte oracle: visibility is an array read, and
                 only position-only nodes allocate a remapped copy. *)
              let view ix (n : Xmldoc.Node.t) =
@@ -58,7 +91,21 @@ let select ?vars ?stats t lv =
                | '\001' -> Some n
                | _ -> Some { n with label = View.restricted }
              in
-             Xpath.Compile.fold_view_flat ?stats auto fl ~view ~init:[] ~f
+             match anchor t fl with
+             | Some a ->
+               Obs.Metrics.inc m_anchored;
+               Option.iter
+                 (fun (s : Xpath.Compile.stats) ->
+                   s.anchors <- Xpath.Compile.anchor_names a)
+                 stats;
+               (* A candidate shown as RESTRICTED does not carry its
+                  posting-list label in the view. *)
+               let shown ix = Bytes.unsafe_get vis ix = '\001' in
+               Xpath.Compile.fold_ranges_flat ?stats ~view auto fl
+                 ~ranges:(Xpath.Compile.anchor_ranges ~shown fl a)
+                 ~init:[] ~f
+             | None ->
+               Xpath.Compile.fold_view_flat ?stats auto fl ~view ~init:[] ~f)
            | None ->
              let view (n : Xmldoc.Node.t) =
                if Lazy_view.visible lv n.id then Some (Lazy_view.remap lv n)

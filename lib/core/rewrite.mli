@@ -3,11 +3,19 @@
     no per-user view materialisation.
 
     A downward query ({!Xpath.Ast.is_downward}) compiles to one
-    {!Xpath.Compile} automaton; {!select} runs it through
-    {!Xpath.Compile.fold_view} with the {!Lazy_view}'s visibility and
-    label remapping as the view callback — hidden subtrees are pruned
-    wholesale and position-only nodes present their [RESTRICTED] label to
-    the automaton's name tests.  Non-downward queries (predicates, upward
+    {!Xpath.Compile} automaton; {!select} runs it with the
+    {!Lazy_view}'s visibility and label remapping as the view callback —
+    hidden subtrees are pruned wholesale and position-only nodes present
+    their [RESTRICTED] label to the automaton's name tests.  On a
+    snapshot the run takes one of two plans, chosen per query from the
+    snapshot's posting-list lengths ({!anchor}): an {e anchored} run
+    over the label-index candidates of every union branch
+    ({!Xpath.Compile.anchor_ranges}; only candidates the oracle shows
+    under their source label), each re-threaded down its ancestor
+    chain, or a {e scan} of every visible row
+    ({!Xpath.Compile.fold_view_flat}) when some branch has no name test,
+    a name test asks for [RESTRICTED], or the candidates are too dense.
+    Both give the same answers.  Non-downward queries (predicates, upward
     axes, [$USER]) fall back to the general evaluator over
     {!Lazy_view.source}, which enforces the same axioms per axis call —
     on the snapshot and its visibility oracle when the lazy view has one
@@ -37,6 +45,16 @@ val compiled : t -> bool
 
 val expr : t -> Xpath.Ast.expr
 
+val anchorable : t -> Xmldoc.Flat.t -> Xpath.Compile.anchor option
+(** The query's label-index anchor on this snapshot, whatever it would
+    cost; [None] when the plan did not compile, when some branch has no
+    name test, or when a name test asks for [RESTRICTED]. *)
+
+val anchor : t -> Xmldoc.Flat.t -> Xpath.Compile.anchor option
+(** The anchored plan {!select} takes on this snapshot: {!anchorable},
+    kept when {!Xpath.Compile.anchor_pays}.  [None] means a scan (or,
+    for a plan that did not compile, the fallback). *)
+
 val select :
   ?vars:(string * Xpath.Value.t) list -> ?stats:Xpath.Compile.stats ->
   t -> Lazy_view.t -> Ordpath.t list
@@ -44,7 +62,8 @@ val select :
     ([$USER]) only affects the fallback path — a compiled plan is
     variable-free by construction.  [?stats] fills traversal counters for
     plan explainability: on the compiled path exactly as
-    {!Xpath.Compile.fold_view} defines them; on the fallback path
+    {!Xpath.Compile.fold_ranges_flat} defines them, with [anchors] naming
+    the labels an anchored plan read; on the fallback path
     [visited] is the number of nodes the view's source handed to the
     evaluator ({!Xpath.Source.counting}; [states] and [pruned] stay
     untouched — there is no automaton product). *)

@@ -399,7 +399,7 @@ let query t ~user q =
   | Some s ->
     ignore
       (Obs.Planlog.record ~user ~query:q
-         ~compiled:(Rewrite.compiled plan)
+         ~compiled:(Rewrite.compiled plan) ~anchors:s.Xpath.Compile.anchors
          ~states:s.Xpath.Compile.states ~visited:s.Xpath.Compile.visited
          ~pruned:s.Xpath.Compile.pruned
          ~answers:(Lazy.force answers)

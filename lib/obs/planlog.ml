@@ -1,6 +1,8 @@
 (* Query-plan explainability and the slow-query log.  Each served query
    records a structured plan — which read path answered it (compiled
-   rewrite vs lazy-view fallback), how many determinised automaton
+   rewrite vs lazy-view fallback) and, for a rewrite, whether it scanned
+   the snapshot or ran anchored on the label index (and on which
+   labels), how many determinised automaton
    product states the traversal needed, how many nodes it visited and
    how many it pruned by ordpath contiguity, the deciding-rule set for
    the answers, the permission class, and the latency measured on the
@@ -16,6 +18,7 @@ type plan = {
   user : string;
   query : string;
   compiled : bool;  (* true = rewrite product path, false = fallback *)
+  anchors : string list;  (* labels an anchored rewrite read; [] = scan *)
   states : int;  (* distinct determinised automaton state sets *)
   visited : int;  (* nodes the traversal consumed *)
   pruned : int;  (* nodes skipped wholesale by ordpath contiguity *)
@@ -58,13 +61,13 @@ let set_capacity n =
   trim slow_ring;
   Mutex.unlock lock
 
-let record ~user ~query ~compiled ~states ~visited ~pruned ~answers ~rules
-    ~cls ~seconds =
+let record ~user ~query ~compiled ~anchors ~states ~visited ~pruned
+    ~answers ~rules ~cls ~seconds =
   let time = Unix.gettimeofday () and mono = Mono.now () in
   Mutex.lock lock;
   let p =
-    { seq = !seen_count; time; mono; user; query; compiled; states; visited;
-      pruned; answers; rules; cls; seconds }
+    { seq = !seen_count; time; mono; user; query; compiled; anchors; states;
+      visited; pruned; answers; rules; cls; seconds }
   in
   incr seen_count;
   let push q =
@@ -98,15 +101,23 @@ let clear () =
   seen_count := 0;
   Mutex.unlock lock
 
+let plan_name p =
+  if not p.compiled then "fallback"
+  else if p.anchors = [] then "scan"
+  else "anchored"
+
 let plan_to_json p =
   Printf.sprintf
     "{\"seq\":%d,\"time\":%.6f,\"user\":%s,\"query\":%s,\"path\":%s,\
+     \"plan\":%s,\"anchors\":[%s],\
      \"states\":%d,\"visited\":%d,\"pruned\":%d,\"answers\":%d,\
      \"rules\":[%s],\"class\":%s,\"seconds\":%.9f}"
     p.seq p.time
     (Metrics.json_string p.user)
     (Metrics.json_string p.query)
     (Metrics.json_string (if p.compiled then "rewrite" else "fallback"))
+    (Metrics.json_string (plan_name p))
+    (String.concat "," (List.map Metrics.json_string p.anchors))
     p.states p.visited p.pruned p.answers
     (String.concat "," (List.map Metrics.json_string p.rules))
     (Metrics.json_string p.cls)
@@ -114,10 +125,14 @@ let plan_to_json p =
 
 let plan_to_string p =
   Printf.sprintf
-    "#%-4d %-10s %-40s %s path, %d state set(s), %d visited / %d pruned, \
+    "#%-4d %-10s %-40s %s path%s, %d state set(s), %d visited / %d pruned, \
      %d answer(s), %.3f ms%s\n%s"
     p.seq p.user p.query
     (if p.compiled then "rewrite" else "fallback")
+    (match (p.compiled, p.anchors) with
+     | false, _ -> ""
+     | true, [] -> " (scan)"
+     | true, anchors -> " (anchored on " ^ String.concat ", " anchors ^ ")")
     p.states p.visited p.pruned p.answers (1000. *. p.seconds)
     (if p.cls = "" then "" else Printf.sprintf " [class %s]" p.cls)
     (match p.rules with

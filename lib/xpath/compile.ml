@@ -35,9 +35,40 @@ type 'a state = {
   mutable accepts : 'a list;
 }
 
-type 'a t = { states : 'a state array }
+(* The name tests of one union branch, kept for anchoring a run on the
+   label index ({!anchor}): [last] is the final step's name when it has
+   one, [earlier] the names of the steps before it, and [parent] the
+   name of the step before the last when the last one is a child or
+   attribute step — the name its answers' parents carry. *)
+type branch = {
+  last : string option;
+  parent : string option;
+  earlier : string list;
+}
+
+type 'a t = {
+  states : 'a state array;
+  branches : branch list;
+  names : (string, int) Hashtbl.t;
+      (* the labels the name tests ask for, numbered from 1; every other
+         label fails every name test alike.  Never mutated once built, so
+         traversals on several domains may read it. *)
+}
 
 let state_count t = Array.length t.states
+
+let branch_of steps =
+  let name (s : step) = match s.test with Name l -> Some l | _ -> None in
+  match List.rev steps with
+  | [] -> { last = None; parent = None; earlier = [] }
+  | last :: rest ->
+    let parent =
+      match (last.axis, rest) with
+      | (Child | Attribute), before :: _ -> name before
+      | _ -> None
+    in
+    { last = name last; parent;
+      earlier = List.rev (List.filter_map name rest) }
 
 let compile rules =
   let rev_states = ref [] in
@@ -50,7 +81,9 @@ let compile rules =
     (i, s)
   in
   let _, start = fresh () in
+  let branches = ref [] in
   let add_path payload steps =
+    branches := branch_of steps :: !branches;
     let rec go (q : 'a state) = function
       | [] -> q.accepts <- payload :: q.accepts
       | { axis; test; preds } :: rest ->
@@ -87,7 +120,19 @@ let compile rules =
            (Ast.to_string e))
   in
   List.iter (fun (payload, expr) -> add_expr payload expr) rules;
-  { states = Array.of_list (List.rev !rev_states) }
+  let states = Array.of_list (List.rev !rev_states) in
+  let names = Hashtbl.create 8 in
+  let name = function
+    | Name l when not (Hashtbl.mem names l) ->
+      Hashtbl.add names l (Hashtbl.length names + 1)
+    | _ -> ()
+  in
+  Array.iter
+    (fun s ->
+      List.iter (fun (_, test, _) -> name test) s.consume;
+      List.iter (fun (_, test, _) -> name test) s.self_eps)
+    states;
+  { states; branches = List.rev !branches; names }
 
 (* ---- Running ---- *)
 
@@ -160,25 +205,35 @@ let step t cls (n : Xmldoc.Node.t) parent_set =
   in
   closure t cls n raw
 
+(* Transition keys are packed ints; mixing the label bits with the rest
+   spreads them over the buckets. *)
+module Keys = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k lxor (k lsr 20)) land max_int
+end)
+
 (* Per-traversal determinisation: state sets are interned to small ids and
    one transition is computed per (parent set, node class, kind, label)
-   key, so repeated shapes cost one integer-keyed hash lookup.  Labels are
-   interned to small ids so the key packs into a single int.  Private to
-   the traversal — the compiled automaton itself is never mutated. *)
+   key, so repeated shapes cost one integer-keyed hash lookup.  The label
+   part is the label's number among the automaton's names, 0 for any
+   other label, so the key packs into a single int and a label no test
+   asks for never costs a transition of its own.  Private to the
+   traversal — the compiled automaton itself is never mutated. *)
 type 'a run = {
   t : 'a t;
   ids : (int list, int) Hashtbl.t;  (* state set -> set id *)
   mutable set_arr : int list array;  (* set id -> state set *)
   mutable payload_arr : 'a list array;  (* set id -> accepted payloads *)
   mutable n_sets : int;
-  labels : (string, int) Hashtbl.t;  (* label -> label id *)
-  memo : (int, int) Hashtbl.t;  (* packed transition key -> set id *)
+  memo : int Keys.t;  (* packed transition key -> set id *)
 }
 
 let new_run t =
   { t; ids = Hashtbl.create 64;
     set_arr = Array.make 16 []; payload_arr = Array.make 16 [];
-    n_sets = 0; labels = Hashtbl.create 64; memo = Hashtbl.create 256 }
+    n_sets = 0; memo = Keys.create 256 }
 
 let intern run set =
   match Hashtbl.find_opt run.ids set with
@@ -196,33 +251,27 @@ let intern run set =
     run.n_sets <- id + 1;
     id
 
-let label_id run label =
-  match Hashtbl.find run.labels label with
-  | i -> i
-  | exception Not_found ->
-    let i = Hashtbl.length run.labels in
-    Hashtbl.add run.labels label i;
-    i
-
-(* Packed key: label ids stay well under 2^20 for any realistic document,
-   and set ids are bounded by the number of distinct reachable state sets
-   (tiny), so the pack cannot collide within a 63-bit int. *)
+(* Packed key: name numbers stay well under 2^20 (they count the
+   automaton's name tests), and set ids are bounded by the number of
+   distinct reachable state sets (tiny), so the pack cannot collide
+   within a 63-bit int. *)
 let transition run ~parent_id cls (n : Xmldoc.Node.t) =
   (* Name tests only ever inspect Element and Attribute labels, so other
      kinds share one label slot and skip the string hash. *)
   let lid =
     match n.kind with
-    | Xmldoc.Node.Element | Xmldoc.Node.Attribute -> label_id run n.label
+    | Xmldoc.Node.Element | Xmldoc.Node.Attribute -> (
+      match Hashtbl.find_opt run.t.names n.label with Some i -> i | None -> 0)
     | _ -> 0
   in
   let key =
     (((parent_id * 3 + cls_code cls) * 5 + kind_code n.kind) lsl 20) lor lid
   in
-  match Hashtbl.find run.memo key with
+  match Keys.find run.memo key with
   | id -> id
   | exception Not_found ->
     let id = intern run (step run.t cls n run.set_arr.(parent_id)) in
-    Hashtbl.add run.memo key id;
+    Keys.add run.memo key id;
     id
 
 (* State at the document node: closure of the start state. *)
@@ -278,9 +327,10 @@ type stats = {
   mutable visited : int;
   mutable pruned : int;
   mutable states : int;
+  mutable anchors : string list;
 }
 
-let stats () = { visited = 0; pruned = 0; states = 0 }
+let stats () = { visited = 0; pruned = 0; states = 0; anchors = [] }
 
 (* The automaton run over a *virtual* document: [view] prunes (None) or
    remaps (Some n', same identifier) each source node.  Pruned subtrees
@@ -394,85 +444,215 @@ let fold_flat t fl ~init ~f =
   done;
   !acc
 
-let fold_view_flat ?stats t fl ~view ~init ~f =
+(* Every row inside [ranges] (disjoint, ascending [lo, hi) row spans) in
+   one shared run.  The determinised-set memo, the interning tables and
+   the ancestor stack persist across ranges: frames whose spans closed
+   before [lo] pop off, and what survives is exactly the already-threaded
+   ancestor prefix of [lo], so only the chain below the deepest live frame
+   is re-threaded — ranges that share ancestors share their frames.  A
+   range whose chain runs through a node the view prunes lies inside a
+   pruned subtree and yields nothing. *)
+let fold_ranges_flat ?stats ?view t fl ~ranges ~init ~f =
   let run = new_run t in
   let stk = flat_stack () in
-  let n = Xmldoc.Flat.size fl in
-  let acc = ref init in
-  let i = ref 0 in
-  while !i < n do
-    let ix = !i in
-    flat_pop_to stk ix;
-    match view ix (Xmldoc.Flat.node fl ix) with
-    | None ->
-      let stop = Xmldoc.Flat.subtree_end fl ix in
-      (match stats with
-      | Some s -> s.pruned <- s.pruned + (stop - ix)
-      | None -> ());
-      i := stop
-    | Some n' ->
-      (match stats with Some s -> s.visited <- s.visited + 1 | None -> ());
-      acc := flat_visit run stk fl ix n' !acc ~f;
-      incr i
-  done;
-  (match stats with Some s -> s.states <- s.states + run.n_sets | None -> ());
-  !acc
-
-let fold_subtree_flat t fl ~root ~init ~f =
-  match Xmldoc.Flat.find_ix fl root with
-  | None -> init
-  | Some r ->
-    let run = new_run t in
-    let stk = flat_stack () in
-    (* Re-thread the automaton down the ancestor chain, outermost first,
-       without folding [f] over it. *)
-    let rec chain acc p =
-      if p < 0 then acc else chain (p :: acc) (Xmldoc.Flat.parent_ix fl p)
-    in
-    let ancestors = chain [] (Xmldoc.Flat.parent_ix fl r) in
-    List.iter
-      (fun a ->
-        ignore
-          (flat_visit run stk fl a (Xmldoc.Flat.node fl a) init
-             ~f:(fun acc _ _ -> acc)))
-      ancestors;
-    let stop = Xmldoc.Flat.subtree_end fl r in
-    let acc = ref init in
-    for i = r to stop - 1 do
-      flat_pop_to stk i;
-      acc := flat_visit run stk fl i (Xmldoc.Flat.node fl i) !acc ~f
-    done;
-    !acc
-
-let fold_subtrees_flat t fl ~roots ~init ~f =
-  let run = new_run t in
-  let stk = flat_stack () in
-  List.fold_left
-    (fun acc r ->
-      (* Frames from earlier roots whose spans have closed pop off; what
-         survives is exactly the already-threaded ancestor prefix of
-         [r], so only the chain below the deepest live frame needs
-         re-threading. *)
-      flat_pop_to stk r;
+  let visited = ref 0 and pruned = ref 0 in
+  let shown ix =
+    let n = Xmldoc.Flat.node fl ix in
+    match view with None -> Some n | Some view -> view ix n
+  in
+  (* Consumes the ancestors of a range from the one below [known] (the
+     deepest live frame) down to [p], outermost first; [false] when one
+     of them is pruned. *)
+  let rec thread known p =
+    p < 0 || p = known
+    || thread known (Xmldoc.Flat.parent_ix fl p)
+       &&
+       match shown p with
+       | None -> false
+       | Some n ->
+         incr visited;
+         flat_visit run stk fl p n () ~f:(fun () _ _ -> ());
+         true
+  in
+  let rec go acc = function
+    | [] -> acc
+    | (lo, hi) :: rest ->
+      flat_pop_to stk lo;
       let known = if stk.depth = 0 then -1 else stk.ixs.(stk.depth - 1) in
-      let rec chain acc p =
-        if p < 0 || p = known then acc
-        else chain (p :: acc) (Xmldoc.Flat.parent_ix fl p)
-      in
-      List.iter
-        (fun a ->
-          ignore
-            (flat_visit run stk fl a (Xmldoc.Flat.node fl a) ()
-               ~f:(fun acc _ _ -> acc)))
-        (chain [] (Xmldoc.Flat.parent_ix fl r));
-      let stop = Xmldoc.Flat.subtree_end fl r in
-      let acc = ref acc in
-      for i = r to stop - 1 do
-        flat_pop_to stk i;
-        acc := flat_visit run stk fl i (Xmldoc.Flat.node fl i) !acc ~f
-      done;
-      !acc)
-    init roots
+      if not (thread known (Xmldoc.Flat.parent_ix fl lo)) then go acc rest
+      else begin
+        let acc = ref acc in
+        let i = ref lo in
+        while !i < hi do
+          let ix = !i in
+          flat_pop_to stk ix;
+          match shown ix with
+          | None ->
+            let stop = Xmldoc.Flat.subtree_end fl ix in
+            pruned := !pruned + (min stop hi - ix);
+            i := stop
+          | Some n ->
+            incr visited;
+            acc := flat_visit run stk fl ix n !acc ~f;
+            incr i
+        done;
+        go !acc rest
+      end
+  in
+  let acc = go init ranges in
+  (match stats with
+   | Some s ->
+     s.visited <- s.visited + !visited;
+     s.pruned <- s.pruned + !pruned;
+     s.states <- s.states + run.n_sets
+   | None -> ());
+  acc
+
+let fold_view_flat ?stats t fl ~view ~init ~f =
+  fold_ranges_flat ?stats ~view t fl
+    ~ranges:[ (0, Xmldoc.Flat.size fl) ]
+    ~init ~f
+
+(* ---- Anchored runs ----
+
+   The steps of a downward path thread parent to descendant, so every
+   node a branch's name test matched lies on the ancestor-or-self chain
+   of each of the branch's answers, and carries that name.  Two anchors
+   follow, both read off the snapshot's posting lists:
+
+   - the last step's name: the answers are among that name's rows — and
+     when the step before names their parent, among the rows whose
+     parent carries that name (the structural join of the two lists);
+   - an earlier step's name: the answers lie inside those rows'
+     subtrees.
+
+   Each branch takes the cheaper of its last name and its rarest
+   earlier name.  A run over the chosen rows then visits only them and
+   their ancestor chains.  The estimate charges every row the run visits
+   plus [thread_cost] per range for re-threading the automaton down its
+   ancestor chain (thread_cost = 4 puts one range at about five rows of
+   a scan, measured on a 10^5-node Zipf document); an anchored run is
+   worth it only while that estimate stays within one pass over the
+   whole snapshot. *)
+
+let thread_cost = 4
+
+(* How a branch's candidates come off its label's posting list. *)
+type pick =
+  | Rows of string option
+      (* the rows, only those whose parent carries the name if given *)
+  | Subtrees  (* the rows' subtrees *)
+
+type anchor = { picks : (string * pick) list; cost : int }
+
+let anchor t fl =
+  let module F = Xmldoc.Flat in
+  let count l = Array.length (F.by_label_ix fl l) in
+  (* Rows visited by a run over the outermost subtrees of [l]'s rows. *)
+  let subtree_cost l =
+    let limit = ref 0 and cost = ref 0 in
+    Array.iter
+      (fun ix ->
+        if ix >= !limit then begin
+          limit := F.subtree_end fl ix;
+          cost := !cost + (!limit - ix) + thread_cost
+        end)
+      (F.by_label_ix fl l);
+    !cost
+  in
+  let choose b =
+    (* A row costs its visit and its chain; behind a parent name it costs
+       one look at its parent, and a parent is taken to keep one
+       candidate on average. *)
+    let rows_cost l =
+      match b.parent with
+      | None -> count l * (1 + thread_cost)
+      | Some p -> count l + (min (count l) (count p) * thread_cost)
+    in
+    let rows =
+      Option.map (fun l -> ((l, Rows b.parent), rows_cost l)) b.last
+    in
+    let rarest =
+      List.fold_left
+        (fun best l ->
+          let n = count l in
+          match best with Some (_, bn) when bn <= n -> best | _ -> Some (l, n))
+        None b.earlier
+    in
+    match (rarest, rows) with
+    | Some (e, ne), Some (_, rc) when ne * (1 + thread_cost) < rc ->
+      (* Worth counting the earlier name's subtrees only when its rows
+         alone could undercut the last name's. *)
+      let c = subtree_cost e in
+      if rc <= c then rows else Some ((e, Subtrees), c)
+    | Some (e, _), None -> Some ((e, Subtrees), subtree_cost e)
+    | _, _ -> rows
+  in
+  let rec all acc = function
+    | [] -> Some (List.rev acc)
+    | b :: rest -> (
+      match choose b with None -> None | Some c -> all (c :: acc) rest)
+  in
+  match all [] t.branches with
+  | None | Some [] -> None
+  | Some chosen ->
+    Some
+      { picks = List.map fst chosen;
+        cost = List.fold_left (fun acc (_, c) -> acc + c) 0 chosen }
+
+let anchor_pays fl a = a.cost <= Xmldoc.Flat.size fl
+
+let anchor_names a =
+  List.fold_left
+    (fun acc (l, _) -> if List.mem l acc then acc else acc @ [ l ])
+    [] a.picks
+
+let anchor_ranges ?(shown = fun _ -> true) fl a =
+  let module F = Xmldoc.Flat in
+  (* A row whose parent shows the name [p]. *)
+  let under p ix =
+    let par = F.parent_ix fl ix in
+    par >= 0 && shown par && String.equal (F.label_ix fl par) p
+  in
+  let spans (l, pick) =
+    let keep ix =
+      shown ix
+      &&
+      match pick with
+      | Rows (Some p) -> under p ix
+      | Rows None | Subtrees -> true
+    in
+    let hi ix =
+      match pick with Subtrees -> F.subtree_end fl ix | Rows _ -> ix + 1
+    in
+    Array.fold_right
+      (fun ix acc -> if keep ix then (ix, hi ix) :: acc else acc)
+      (F.by_label_ix fl l) []
+  in
+  (* A span inside an earlier one (a nested candidate, or a row another
+     branch already covers) adds nothing. *)
+  let outermost spans =
+    let limit = ref 0 in
+    List.filter
+      (fun (lo, hi) ->
+        lo >= !limit
+        && begin
+          limit := hi;
+          true
+        end)
+      spans
+  in
+  match a.picks with
+  | [ ((_, Rows _) as pick) ] ->
+    (* One label's rows: ascending, never nested. *)
+    spans pick
+  | [ pick ] -> outermost (spans pick)
+  | picks ->
+    outermost
+      (List.sort
+         (fun (lo, hi) (lo', hi') ->
+           if lo <> lo' then compare lo lo' else compare hi' hi)
+         (List.concat_map spans picks))
 
 let fold_subtree t doc ~root ~init ~f =
   if not (Xmldoc.Document.mem doc root) then init

@@ -38,6 +38,9 @@ type stats = {
       (** nodes skipped wholesale — a pruned root plus every node inside
           its contiguous ordpath range *)
   mutable states : int;  (** distinct determinised state sets interned *)
+  mutable anchors : string list;
+      (** the labels an anchored run read its candidates from ([[]] for a
+          full scan); set by the caller that chose the plan *)
 }
 (** Per-traversal counters for plan explainability.  This library sits
     below the observability layer, so the counters are a plain mutable
@@ -93,20 +96,63 @@ val fold_view_flat :
     [view] callback additionally receives the node's flat index, so a
     caller holding a per-index visibility oracle (e.g.
     [Core.Perm.flat_visibility]) answers in O(1) with no ordpath
-    hashing. *)
+    hashing.  This is {!fold_ranges_flat} over the single range of all
+    rows. *)
 
-val fold_subtree_flat :
-  'a t -> Xmldoc.Flat.t -> root:Ordpath.t -> init:'b ->
+val fold_ranges_flat :
+  ?stats:stats ->
+  ?view:(int -> Xmldoc.Node.t -> Xmldoc.Node.t option) ->
+  'a t -> Xmldoc.Flat.t -> ranges:(int * int) list -> init:'b ->
   f:('b -> Xmldoc.Node.t -> 'a list -> 'b) -> 'b
-(** {!fold_subtree} over a flat snapshot. *)
+(** The rows inside [ranges] — half-open [[lo, hi)] row spans, disjoint
+    and ascending — in one shared run.  Before each range the automaton
+    is re-threaded down the ancestor chain of [lo] without folding [f]
+    over it; [f] then sees exactly what {!fold_view_flat} would report
+    for the rows inside the range.  The determinised-set memo and the
+    ancestor stack persist across ranges, so ranges that share
+    ancestors re-thread only below the deepest shared frame.  [view]
+    (default: every node shown, unchanged) prunes and relabels as in
+    {!fold_view_flat}; a range below a pruned node yields nothing.
+    [?stats] counts the threaded ancestors as visited too. *)
 
-val fold_subtrees_flat :
-  'a t -> Xmldoc.Flat.t -> roots:int list -> init:'b ->
-  f:('b -> Xmldoc.Node.t -> 'a list -> 'b) -> 'b
-(** Several disjoint subtrees in one shared run: [roots] are the
-    subtrees' flat indices, ascending, no root inside another's span.
-    The determinised-set memo, the interning tables and the ancestor
-    stack persist across roots — re-threading rewinds only from the
-    deepest frame still covering the next root — so a thousand small
-    subtrees cost one traversal's setup, not a thousand.  Equivalent to
-    folding {!fold_subtree_flat} over the roots in order. *)
+(** {1 Anchored runs}
+
+    A downward branch's answers lie on or below the nodes its name tests
+    matched, so a snapshot's posting lists ({!Xmldoc.Flat.by_label_ix})
+    bound where they can be.  An {!anchor} picks, per union branch, the
+    cheaper of two candidate sets: the rows of the last step's name (the
+    answers are among them; when the last step is a child or attribute
+    step after a name test, only the rows whose parent carries that
+    name) or the subtrees of the rows of the rarest earlier name (the
+    answers are inside them).  {!fold_ranges_flat}
+    over {!anchor_ranges} then gives exactly the answers of a full run,
+    in document order and without duplicates.
+
+    The estimate is one cost rule shared by every caller: a run costs
+    the rows it visits plus a fixed charge per range for re-threading its
+    ancestor chain, and is worth taking when that is at most one pass
+    over the snapshot ({!anchor_pays}).  Posting lists hold source
+    labels: callers running over a view that renames nodes must not
+    anchor on the renamed label (see [Core.Rewrite]). *)
+
+type anchor
+
+val anchor : 'a t -> Xmldoc.Flat.t -> anchor option
+(** The anchor of every branch of the automaton; [None] when some branch
+    has no name test ([//node()], [/a/*]). *)
+
+val anchor_pays : Xmldoc.Flat.t -> anchor -> bool
+(** Does the anchored run's estimate stay within one full pass? *)
+
+val anchor_names : anchor -> string list
+(** The labels the anchor reads, first-use order, no duplicates. *)
+
+val anchor_ranges :
+  ?shown:(int -> bool) -> Xmldoc.Flat.t -> anchor -> (int * int) list
+(** The candidate ranges for {!fold_ranges_flat}: one [(ix, ix + 1)] per
+    row of a last-step label (whose parent, if the anchor names it,
+    carries the parent's name and passes [shown]), one
+    [(ix, subtree_end ix)] per row of an earlier-step label, rows failing
+    [shown] dropped (default: none), nested ranges folded into the
+    outermost.  [shown] may drop only rows that do not carry their label
+    in the run's view — hidden or renamed ones. *)

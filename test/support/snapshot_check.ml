@@ -60,10 +60,32 @@ let check_served what serve =
   let expected = F.of_document source in
   List.iter
     (fun user ->
-      match Core.Lazy_view.flat (Core.Serve.lazy_view serve ~user) with
+      let lv = Core.Serve.lazy_view serve ~user in
+      match Core.Lazy_view.flat lv with
       | None -> failwith (Printf.sprintf "%s: %s's lazy view has no snapshot" what user)
       | Some got ->
         check (Printf.sprintf "%s, %s's snapshot" what user) source ~expected ~got;
+        (match Core.Lazy_view.oracle lv with
+         | None -> ()
+         | Some held ->
+           let perm = Core.Session.perm (Core.Serve.session serve ~user) in
+           let rebuilt = Core.Perm.flat_visibility perm got in
+           if not (Bytes.equal held rebuilt) then begin
+             let n = min (Bytes.length held) (Bytes.length rebuilt) in
+             let rec first i =
+               if i < n && Bytes.get held i = Bytes.get rebuilt i then
+                 first (i + 1)
+               else i
+             in
+             let i = first 0 in
+             failwith
+               (Printf.sprintf
+                  "%s: %s's held oracle differs from a rebuild (%d vs %d \
+                   rows) at row %d%s"
+                  what user (Bytes.length held) (Bytes.length rebuilt) i
+                  (if i < F.size got then " (" ^ render (F.node got i) ^ ")"
+                   else ""))
+           end);
         let gauge =
           Obs.Metrics.gauge_value (Obs.Metrics.gauge Obs.Metrics.default "flat_bytes")
         in

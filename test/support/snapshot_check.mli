@@ -20,6 +20,10 @@ val check :
 
 val check_served : string -> Core.Serve.t -> unit
 (** Every logged-in user's lazy view holds a snapshot that passes
-    {!check} against [of_document (Serve.source serve)], and the
-    [flat_bytes] gauge equals that snapshot's {!Xmldoc.Flat.bytes}.
+    {!check} against [of_document (Serve.source serve)], the
+    [flat_bytes] gauge equals that snapshot's {!Xmldoc.Flat.bytes}, and
+    a visibility oracle the lazy view holds ({!Core.Lazy_view.oracle}:
+    built by a read, or patched by a rebase) equals
+    {!Core.Perm.flat_visibility} of the user's permissions on that
+    snapshot, byte for byte.
     @raise Failure as {!check}. *)

@@ -136,7 +136,19 @@ let test_explain () =
   in
   Alcotest.(check int) "exit 0" 0 code;
   check_contains "explain" output "RESTRICTED";
-  check_contains "explain" output "position granted by"
+  check_contains "explain" output "position granted by";
+  (* --plan prints the read plan the served query took. *)
+  let plan q extra =
+    run ([ "explain"; "--plan"; "-d"; doc; "-p"; policy; "-u"; "laporte" ]
+         @ extra @ [ q ])
+  in
+  let code, output = plan "//service" [] in
+  Alcotest.(check int) "explain --plan: exit 0" 0 code;
+  check_contains "anchored plan" output "rewrite path (anchored on service)";
+  let _, output = plan "//node()" [] in
+  check_contains "scan plan" output "rewrite path (scan)";
+  let _, output = plan "//service" [ "--json" ] in
+  check_contains "plan JSON" output {|"path":"rewrite","plan":"anchored"|}
 
 let test_check () =
   let policy = policy_file () in

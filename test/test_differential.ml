@@ -413,6 +413,15 @@ let assert_views_fresh serve =
         [ "//node()"; "//diagnosis/node()"; "//RESTRICTED" ])
     (Core.Serve.users serve)
 
+let counter name =
+  try List.assoc name (Obs.Metrics.counters Obs.Metrics.default)
+  with Not_found -> 0
+
+let read_all serve =
+  List.iter
+    (fun user -> ignore (Core.Serve.query serve ~user "//node()"))
+    (Core.Serve.users serve)
+
 let test_serve_broadcast () =
   let serve = serve_paper () in
   (* Warm every session's lazy cache. *)
@@ -427,6 +436,7 @@ let test_serve_broadcast () =
   Alcotest.(check bool) "update fully applied" true
     (Core.Secure_update.fully_applied report);
   Alcotest.(check int) "one write recorded" 1 (Core.Serve.writes serve);
+  Test_support.Snapshot_check.check_served "after the cure" serve;
   assert_views_fresh serve;
   (* The secretary now removes robert's record entirely. *)
   let report =
@@ -434,6 +444,7 @@ let test_serve_broadcast () =
   in
   Alcotest.(check bool) "rename applied" true
     (Core.Secure_update.fully_applied report);
+  Test_support.Snapshot_check.check_served "after the rename" serve;
   assert_views_fresh serve;
   (* Writes were visible across sessions. *)
   Alcotest.(check int) "doctor sees the secretary's rename" 1
@@ -510,8 +521,129 @@ let test_serve_random_traffic () =
   List.iter2
     (fun user op ->
       ignore (Core.Serve.update serve ~user op);
+      Test_support.Snapshot_check.check_served "random traffic" serve;
       assert_views_fresh serve)
     writers ops
+
+(* Every class that holds a visibility oracle across a commit gets it
+   patched along the commit's delta, and the patch must equal a rebuild
+   on the new snapshot (Snapshot_check.check_served compares them byte
+   for byte).  Each step reads in every class first, so every class
+   holds an oracle the commit has to carry: relabels, inserts, removals,
+   a multi-root batch, read- and position-rule policy commits that
+   re-key the classes, and a document-level rename of the root element.
+   The patients carry a $USER rule with a predicate, so their class is
+   not policy-local: a document commit must drop its oracle, which the
+   next read rebuilds. *)
+let test_serve_oracle_patches () =
+  let config =
+    { Workload.Gen_doc.patients = 12; visits_per_patient = 2;
+      diagnosed_fraction = 0.8; seed = 31 }
+  in
+  let doc = Workload.Gen_doc.generate config in
+  let subjects =
+    Core.Subject.of_list
+      [ (Core.Subject.Role, "staff", []);
+        (Core.Subject.Role, "secretary", [ "staff" ]);
+        (Core.Subject.Role, "doctor", [ "staff" ]);
+        (Core.Subject.Role, "editor", []);
+        (Core.Subject.Role, "patient", []);
+        (Core.Subject.User, P.beaufort, [ "secretary" ]);
+        (Core.Subject.User, P.laporte, [ "doctor" ]);
+        (Core.Subject.User, "ed", [ "editor" ]);
+        (Core.Subject.User, "franck", [ "patient" ]);
+        (Core.Subject.User, "robert", [ "patient" ]) ]
+  in
+  let policy =
+    let open Core.Privilege in
+    let rule d p path subject priority =
+      Core.Rule.v d p ~path ~subject ~priority
+    in
+    Core.Policy.v subjects
+      [ rule Core.Rule.Accept Read "//node()" "staff" 1;
+        rule Core.Rule.Accept Read "//@*" "staff" 2;
+        rule Core.Rule.Deny Read "//diagnosis/node()" "secretary" 3;
+        rule Core.Rule.Accept Position "//diagnosis/node()" "secretary" 4;
+        rule Core.Rule.Accept Read "/patients" "patient" 5;
+        rule Core.Rule.Accept Read
+          "/patients/*[name() = $USER]/descendant-or-self::node()" "patient" 6;
+        rule Core.Rule.Accept Read "//node()" "editor" 7;
+        rule Core.Rule.Accept Insert "//node()" "editor" 8;
+        rule Core.Rule.Accept Update "//node()" "editor" 9;
+        rule Core.Rule.Accept Delete "//node()" "editor" 10 ]
+  in
+  let serve = Core.Serve.create policy doc in
+  Core.Serve.login_many serve
+    [ P.beaufort; P.laporte; "ed"; "franck"; "robert" ];
+  Alcotest.(check bool) "the patients' class is not policy-local" false
+    (Core.Session.policy_local (Core.Serve.session serve ~user:"robert"));
+  (* Reads in every class, commits, then checks that oracles were
+     patched (or not), that the [dropped] users hold none, and that every
+     held oracle equals a rebuild — before and after the next reads. *)
+  let step ?(dropped = []) name ops ~patched =
+    read_all serve;
+    let before = counter "lazy_view_oracle_patched_total" in
+    (match Core.Serve.commit_ops serve ~user:"ed" ops with
+     | Ok _ -> ()
+     | Error e -> Alcotest.failf "%s: %s" name (Core.Txn.error_to_string e));
+    let patches = counter "lazy_view_oracle_patched_total" - before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d oracle patch(es), %s" name patches
+         (if patched then "some expected" else "none expected"))
+      patched (patches > 0);
+    List.iter
+      (fun user ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s's oracle dropped" name user)
+          true
+          (Option.is_none
+             (Core.Lazy_view.oracle (Core.Serve.lazy_view serve ~user))))
+      dropped;
+    Test_support.Snapshot_check.check_served name serve;
+    assert_views_fresh serve;
+    Test_support.Snapshot_check.check_served (name ^ ", after reads") serve
+  in
+  let docs = List.map (fun op -> Core.Op.Doc op) in
+  let patients = [ "franck"; "robert" ] in
+  step "relabel" ~dropped:patients
+    (docs [ Op.update "//diagnosis[text()][1]" "cured" ])
+    ~patched:true;
+  step "insert" ~dropped:patients
+    (docs
+       [ Op.insert_after "/patients/*[2]"
+           (Tree.element "aaron"
+              [ Tree.element "service" [ Tree.text "surgery" ];
+                Tree.element "diagnosis" [ Tree.text "flu" ] ]) ])
+    ~patched:true;
+  step "remove" ~dropped:patients
+    (docs [ Op.remove "/patients/*[4]/visit[1]" ])
+    ~patched:true;
+  step "multi-root batch" ~dropped:patients
+    (docs
+       [ Op.update "/patients/*[1]/service" "oncology";
+         Op.remove "/patients/*[5]/visit[2]";
+         Op.append "/patients/*[7]" (Tree.element "note" [ Tree.text "new" ]);
+         Op.update "/patients/*[last()]/diagnosis" "sinusitis" ])
+    ~patched:true;
+  let add d p path subject =
+    Core.Op.Policy
+      (Core.Op.Add_rule
+         (Core.Rule.v d p ~path ~subject
+            ~priority:(Core.Serve.fresh_priority serve)))
+  in
+  step "read-rule policy commit"
+    [ add Core.Rule.Deny Core.Privilege.Read "//aaron/service" "secretary" ]
+    ~patched:true;
+  step "position-rule policy commit"
+    [ add Core.Rule.Accept Core.Privilege.Position "//aaron/service"
+        "secretary" ]
+    ~patched:true;
+  step "read-rule policy commit over most rows"
+    [ add Core.Rule.Deny Core.Privilege.Read "/patients/*" "secretary" ]
+    ~patched:true;
+  step "document-level rename of the root element" ~dropped:patients
+    (docs [ Op.rename "/patients" "patients" ])
+    ~patched:true
 
 let () =
   Alcotest.run "differential"
@@ -539,5 +671,7 @@ let () =
             test_serve_denied_write_keeps_caches;
           Alcotest.test_case "random traffic, 8 sessions" `Quick
             test_serve_random_traffic;
+          Alcotest.test_case "oracle patches equal rebuilds" `Quick
+            test_serve_oracle_patches;
         ] );
     ]

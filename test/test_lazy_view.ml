@@ -124,8 +124,9 @@ let test_probes_fewer_nodes () =
     true
     (probed < total / 2)
 
-(* The snapshot's visibility oracle is rebuilt on every rebase except
-   an empty one onto the physically same snapshot. *)
+(* The snapshot's visibility oracle survives physically only an empty
+   rebase onto the same snapshot; any other local rebase of a view that
+   holds one patches it into fresh bytes, equal to a rebuild. *)
 let test_oracle_survival () =
   let session = P.login P.beaufort in
   let doc = Core.Session.source session and perm = Core.Session.perm session in
@@ -152,9 +153,78 @@ let test_oracle_survival () =
     Core.Lazy_view.rebase ~flat lv' doc perm
       (Core.Delta.of_roots [ P.find doc "franck" ])
   in
+  Alcotest.(check bool) "non-empty delta: patched at the rebase" true
+    (Option.is_some (Core.Lazy_view.oracle lv));
   Alcotest.(check bool) "non-empty delta: rebuilt" false (bytes lv == b1);
+  Alcotest.(check bool) "the patch equals a rebuild" true
+    (Bytes.equal (bytes lv) (Core.Perm.flat_visibility perm flat));
   Alcotest.(check int) "the snapshot path never probes the memo" 0
     (Core.Lazy_view.probed_nodes lv)
+
+(* A commit along a delta patches a held oracle only while the patch is
+   cheap: on a document of some 10k rows a delta covering most of them
+   drops the oracle (the next read rebuilds it), while a small one is
+   patched.  Either way the oracle then read equals a fresh build on the
+   new snapshot — for a relabel, an insert and a removal. *)
+let test_oracle_patch_limit () =
+  let module G = Workload.Gen_large in
+  let doc =
+    G.generate
+      { G.default with G.target_nodes = 10_000; max_depth = 5;
+        max_children = 8; seed = 3 }
+  in
+  let subjects =
+    Core.Subject.of_list [ (Core.Subject.User, "u", []) ]
+  in
+  let policy =
+    Core.Policy.v subjects
+      [ Core.Rule.accept Core.Privilege.Read ~path:"//node()" ~subject:"u"
+          ~priority:1;
+        Core.Rule.deny Core.Privilege.Read ~path:"//e2" ~subject:"u"
+          ~priority:2;
+        Core.Rule.accept Core.Privilege.Position ~path:"//e2" ~subject:"u"
+          ~priority:3;
+        Core.Rule.deny Core.Privilege.Read ~path:"//e5" ~subject:"u"
+          ~priority:4 ]
+  in
+  let flat = Flat.of_document doc in
+  let perm = Core.Perm.compute ~flat policy doc ~user:"u" in
+  let held lv = Option.is_some (Core.Lazy_view.oracle lv) in
+  let fresh () =
+    let lv = Core.Lazy_view.create ~flat doc perm in
+    ignore (Core.Lazy_view.flat_visibility lv);
+    lv
+  in
+  let root =
+    match Document.root_element doc with
+    | Some n -> n.id
+    | None -> Alcotest.fail "no root element"
+  in
+  let lv =
+    Core.Lazy_view.rebase ~flat (fresh ()) doc perm
+      (Core.Delta.of_roots [ root ])
+  in
+  Alcotest.(check bool) "a delta over most rows drops the oracle" false
+    (held lv);
+  let step name op =
+    let lv = fresh () in
+    let outcome = Xupdate.Apply.apply doc op in
+    let doc' = outcome.Xupdate.Apply.doc in
+    let delta = Core.Delta.of_roots (Xupdate.Apply.affected_roots outcome) in
+    let flat' = Flat.of_document doc' in
+    let perm' = Core.Perm.update ~flat:flat' perm policy doc' delta in
+    let lv' = Core.Lazy_view.rebase ~flat:flat' lv doc' perm' delta in
+    Alcotest.(check bool) (name ^ ": patched") true (held lv');
+    Alcotest.(check bool) (name ^ ": patch = rebuild") true
+      (Bytes.equal
+         (snd (Option.get (Core.Lazy_view.flat_visibility lv')))
+         (Core.Perm.flat_visibility perm' flat'))
+  in
+  step "relabel" (Xupdate.Op.rename "/*/*[3]" "e2");
+  step "insert"
+    (Xupdate.Op.append "/*/*[5]"
+       (Tree.element "e5" [ Tree.element "e1" [ Tree.text "x" ] ]));
+  step "remove" (Xupdate.Op.remove "/*/*[7]")
 
 (* Every axis of the snapshot-backed source, at every node of the view,
    answers exactly like the materialised view's own source: same nodes,
@@ -309,6 +379,8 @@ let () =
           Alcotest.test_case "probes fewer nodes" `Quick test_probes_fewer_nodes;
           Alcotest.test_case "oracle survives only empty same-snapshot rebases"
             `Quick test_oracle_survival;
+          Alcotest.test_case "oracle patches stay cheap" `Quick
+            test_oracle_patch_limit;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_lazy_equals_materialized ] );

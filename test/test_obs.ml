@@ -762,8 +762,8 @@ let with_planlog f =
     f
 
 let record_plan ?(seconds = 0.) ?(query = "//x") () =
-  Obs.Planlog.record ~user:"u" ~query ~compiled:true ~states:2 ~visited:5
-    ~pruned:3 ~answers:1 ~rules:[ "r" ] ~cls:"c" ~seconds
+  Obs.Planlog.record ~user:"u" ~query ~compiled:true ~anchors:[] ~states:2
+    ~visited:5 ~pruned:3 ~answers:1 ~rules:[ "r" ] ~cls:"c" ~seconds
 
 let test_planlog_rings () =
   with_planlog @@ fun () ->
@@ -837,6 +837,65 @@ let test_planlog_live () =
     Alcotest.(check int) "threshold 0 routes both to the slow ring" 2
       (List.length (Obs.Planlog.slow ()))
   | l -> Alcotest.failf "expected two plans, got %d" (List.length l)
+
+(* A served compiled query records its plan: anchored on the label index
+   (with the labels it read) when every branch names a label, a scan of
+   the snapshot for [//node()]; the JSON keeps the read path and adds the
+   plan, and the text form prints it. *)
+let test_planlog_plans () =
+  with_planlog @@ fun () ->
+  let serve = Core.Serve.create P.policy (P.document ()) in
+  Core.Serve.login serve ~user:P.laporte;
+  let anchored_total () =
+    Option.value ~default:0
+      (List.assoc_opt "rewrite_anchored_total"
+         (Obs.Metrics.counters Obs.Metrics.default))
+  in
+  let anchored0 = anchored_total () in
+  ignore (Core.Serve.query serve ~user:P.laporte "//service");
+  ignore (Core.Serve.query serve ~user:P.laporte "//node()");
+  ignore (Core.Serve.query serve ~user:P.laporte "//*[name() = 'diagnosis']");
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  match Obs.Planlog.recent () with
+  | [ anchored; scan; fallback ] ->
+    Alcotest.(check string) "//service is anchored" "anchored"
+      (Obs.Planlog.plan_name anchored);
+    Alcotest.(check (list string)) "on the service label" [ "service" ]
+      anchored.Obs.Planlog.anchors;
+    Alcotest.(check bool) "the anchored run reports its work" true
+      (anchored.Obs.Planlog.visited > 0 && anchored.Obs.Planlog.states > 0);
+    Alcotest.(check int) "both services answered" 2
+      anchored.Obs.Planlog.answers;
+    Alcotest.(check int) "one anchored read counted" (anchored0 + 1)
+      (anchored_total ());
+    Alcotest.(check string) "//node() scans" "scan"
+      (Obs.Planlog.plan_name scan);
+    Alcotest.(check bool) "the scan reports its work" true
+      (scan.Obs.Planlog.visited > 0 && scan.Obs.Planlog.states > 0);
+    Alcotest.(check string) "a predicate query falls back" "fallback"
+      (Obs.Planlog.plan_name fallback);
+    let json = Obs.Planlog.plan_to_json anchored in
+    List.iter
+      (fun sub ->
+        Alcotest.(check bool) (Printf.sprintf "JSON carries %s" sub) true
+          (contains json sub))
+      [ {|"path":"rewrite"|}; {|"plan":"anchored"|};
+        {|"anchors":["service"]|} ];
+    Alcotest.(check bool) "scan JSON" true
+      (contains (Obs.Planlog.plan_to_json scan) {|"plan":"scan","anchors":[]|});
+    Alcotest.(check bool) "fallback JSON keeps its path" true
+      (contains (Obs.Planlog.plan_to_json fallback)
+         {|"path":"fallback","plan":"fallback"|});
+    Alcotest.(check bool) "the text form prints the plan" true
+      (contains (Obs.Planlog.plan_to_string anchored) "(anchored on service)"
+       && contains (Obs.Planlog.plan_to_string scan) "(scan)")
+  | l -> Alcotest.failf "expected three plans, got %d" (List.length l)
 
 (* -- differential: instrumentation changes no answer -------------------- *)
 
@@ -1078,6 +1137,8 @@ let () =
           Alcotest.test_case "rings and thresholds" `Quick test_planlog_rings;
           Alcotest.test_case "served queries record plans" `Quick
             test_planlog_live;
+          Alcotest.test_case "anchored and scan plans" `Quick
+            test_planlog_plans;
         ] );
       ( "timeseries",
         [

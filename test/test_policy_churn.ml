@@ -334,6 +334,13 @@ let rekey_policy () =
         ~priority:4;
     ]
 
+(* A read in every class, so that every class holds a visibility oracle
+   the next commit must patch (or drop) and [check_served] compares. *)
+let read_all serve =
+  List.iter
+    (fun user -> ignore (Core.Serve.query serve ~user "//node()"))
+    (Core.Serve.users serve)
+
 let check_serve_views serve users =
   let policy = Core.Serve.policy serve in
   let source = Core.Serve.source serve in
@@ -359,6 +366,7 @@ let test_serve_split_merge () =
   Alcotest.(check int) "one class initially" 1 (Core.Serve.classes serve);
   let splits0 = counter "serve_class_splits_total" in
   let merges0 = counter "serve_class_merges_total" in
+  read_all serve;
   (* A rule naming user b splits b out of the shared class. *)
   let p = Core.Serve.fresh_priority serve in
   (match
@@ -472,6 +480,7 @@ let test_visibility_survival () =
       users
   in
   let commit ops =
+    read_all serve;
     match Core.Serve.commit_ops serve ~user:"ed" ops with
     | Ok _ -> Test_support.Snapshot_check.check_served "visibility commit" serve
     | Error e -> Alcotest.fail (Core.Txn.error_to_string e)
@@ -622,10 +631,12 @@ let build_mixed_store dir =
   Store.init store doc0;
   let journal = Filename.concat dir "journal.log" in
   let serve = Core.Serve.create ~persist:store P.policy doc0 in
+  Core.Serve.login_many serve visibility_users;
   let script = mixed_script serve in
   let boundaries = ref [ (file_size journal, 0, doc0, P.policy) ] in
   List.iteri
     (fun i (user, ops) ->
+      read_all serve;
       match Core.Serve.commit_ops serve ~user ops with
       | Ok _ ->
         Test_support.Snapshot_check.check_served

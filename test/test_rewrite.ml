@@ -67,12 +67,17 @@ let random_case seed =
    the RESTRICTED relabel (compiled path), a $USER query (fallback path,
    per-session variable binding), and positional predicates under [//],
    which the evaluator must not turn into descendant steps
-   ([//visit[count(date) > 0]] is a comparison, so it may). *)
+   ([//visit[count(date) > 0]] is a comparison, so it may) — and the
+   shapes of the anchored plan: an attribute step, unions of two
+   anchors and of an anchor with a [*]-only branch (a scan), and a
+   subtree anchor. *)
 let queries_for seed =
   Workload.Gen_query.random ~seed ~count:4
   @ [ "//RESTRICTED"; "/patients/*[name() = $USER]"; "//visit[1]";
       "//visit[last()]"; "//visit[position() > 1]"; "//*[2]";
-      "//visit[count(date) > 0]"; "//RESTRICTED[1]" ]
+      "//visit[count(date) > 0]"; "//RESTRICTED[1]"; "//visit/@n";
+      "//date | /patients/*/service"; "//note | //*";
+      "/patients/*/visit//text()" ]
 
 (* ------------------------------------------------------------------ *)
 (* The differential oracle                                             *)
@@ -104,9 +109,10 @@ let rec no_rewrite (e : Xpath.Ast.expr) : Xpath.Ast.expr =
     Filter (no_rewrite a, List.map no_rewrite preds, steps rest)
   | Literal _ | Number _ | Var _ -> e
 
-(* The rewrite through a flat-less and a snapshot-backed lazy view, the
-   query on the materialised view, and the oracle: the rewrite-free form
-   on the materialised view.  Any disagreement fails. *)
+(* The rewrite through a flat-less and a snapshot-backed lazy view, both
+   snapshot plans of a compiled query, the query on the materialised
+   view, and the oracle: the rewrite-free form on the materialised view.
+   Any disagreement fails.  The flag says whether the anchored plan ran. *)
 let answers doc policy expr =
   let session = Core.Session.login policy doc ~user in
   let vars = Core.Session.user_vars session in
@@ -118,24 +124,34 @@ let answers doc policy expr =
   let plan = Core.Rewrite.plan expr in
   let via lv = List.map Ordpath.to_string (Core.Rewrite.select ~vars plan lv) in
   let flat = Xmldoc.Flat.of_document doc in
+  let snapshot = Core.Lazy_view.of_session ~flat session in
+  let plans, anchored =
+    if not (Core.Rewrite.compiled plan) then ([], false)
+    else
+      match Test_support.Read_plans.run expr snapshot with
+      | scan, Some anchored ->
+        ([ ("scan fold", scan); ("anchored fold", anchored) ], true)
+      | scan, None -> ([ ("scan fold", scan) ], false)
+  in
   let got =
     [ ("flat-less lazy view", via (Core.Lazy_view.of_session session));
-      ( "snapshot lazy view",
-        via (Core.Lazy_view.of_session ~flat session) );
+      ("snapshot lazy view", via snapshot);
       ("materialised view", on_view expr) ]
+    @ plans
   in
-  (got, oracle, Core.Rewrite.compiled plan)
+  (got, oracle, Core.Rewrite.compiled plan, anchored)
 
 let disagreement got oracle =
   List.find_opt (fun (_, ids) -> ids <> oracle) got
 
 let mismatch doc policy expr =
   match answers doc policy expr with
-  | got, oracle, _ -> Option.is_some (disagreement got oracle)
+  | got, oracle, _, _ -> Option.is_some (disagreement got oracle)
   | exception _ -> true
 
 let test_rewrite_differential () =
   let compiled = ref 0 and fallback = ref 0 and triples = ref 0 in
+  let anchorable = ref 0 in
   for case = 0 to cases - 1 do
     let seed = base_seed + case in
     let doc, policy = random_case seed in
@@ -143,8 +159,9 @@ let test_rewrite_differential () =
       (fun q ->
         incr triples;
         let expr = Xpath.Parser.parse_path q in
-        let got, oracle, was_compiled = answers doc policy expr in
+        let got, oracle, was_compiled, was_anchored = answers doc policy expr in
         incr (if was_compiled then compiled else fallback);
+        if was_anchored then incr anchorable;
         match disagreement got oracle with
         | None -> ()
         | Some (where, got) ->
@@ -177,7 +194,11 @@ let test_rewrite_differential () =
     (Printf.sprintf "both paths exercised (%d compiled / %d fallback)"
        !compiled !fallback)
     true
-    (!compiled > 0 && !fallback > 0)
+    (!compiled > 0 && !fallback > 0);
+  (* Every anchorable compiled triple ran both snapshot plans. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 500 anchorable triples (%d)" !anchorable)
+    true (!anchorable >= 500)
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial cases                                                   *)
@@ -197,7 +218,7 @@ let adversarial_doc () =
 
 let select_strings doc policy q =
   let expr = Xpath.Parser.parse_path q in
-  let got, oracle, _ = answers doc policy expr in
+  let got, oracle, _, _ = answers doc policy expr in
   List.iter
     (fun (where, ids) ->
       Alcotest.(check (list string))
@@ -335,6 +356,84 @@ let test_positional_under_descendant () =
       ("//a[. = '3']", [ a3 ]);
       ("//a[not(position() = 1)]", [ a4 ]);
     ]
+
+(* The anchored plan's edge cases: a candidate below a RESTRICTED
+   ancestor (the chain feeds the automaton the view label, not the
+   source one), attribute steps, nested candidates (an [a] inside an
+   [a]: point anchors nest, subtree anchors fold into the outermost),
+   unions of two anchors, and the queries that must scan — a name test
+   asking for RESTRICTED, and a branch with no name test.  Every query
+   runs through every read path against the View.derive oracle
+   ([select_strings]); the counts pin the expected answers. *)
+let test_anchor_probes () =
+  let doc =
+    D.of_tree
+      (Tree.element "top"
+         [
+           Tree.element "a"
+             [
+               Tree.attr "id" "1";
+               Tree.element "x" [ Tree.text "one" ];
+               Tree.element "a"
+                 [ Tree.element "x" [ Tree.text "nested" ];
+                   Tree.element "b" [] ];
+             ];
+           Tree.element "e"
+             [ Tree.attr "id" "2"; Tree.element "x" [ Tree.text "below" ] ];
+           Tree.element "b" [ Tree.element "c" [ Tree.text "two" ] ];
+         ])
+  in
+  let policy =
+    policy_of
+      [
+        Core.Rule.accept Core.Privilege.Read ~path:"//node()" ~subject:user
+          ~priority:1;
+        Core.Rule.deny Core.Privilege.Read ~path:"//e" ~subject:user
+          ~priority:2;
+        Core.Rule.accept Core.Privilege.Position ~path:"//e" ~subject:user
+          ~priority:3;
+        Core.Rule.accept Core.Privilege.Read ~path:"//@*" ~subject:user
+          ~priority:4;
+      ]
+  in
+  List.iter
+    (fun (q, expected) ->
+      Alcotest.(check int) q expected
+        (List.length (select_strings doc policy q)))
+    [
+      ("//x", 3);
+      ("/top/e/x", 0);
+      ("/top/*/x", 2);
+      ("//RESTRICTED/x", 1);
+      ("//RESTRICTED", 1);
+      ("//a/@id", 1);
+      ("//@id", 2);
+      ("//a", 2);
+      ("//a//x", 2);
+      ("//a//b", 1);
+      ("//a | //b", 4);
+      ("//b | /*/*", 4);
+    ];
+  let flat = Flat.of_document doc in
+  let names q =
+    let auto = Xpath.Compile.compile [ ((), Xpath.Parser.parse_path q) ] in
+    Option.map Xpath.Compile.anchor_names (Xpath.Compile.anchor auto flat)
+  in
+  let served q =
+    Option.map Xpath.Compile.anchor_names
+      (Core.Rewrite.anchor (Core.Rewrite.plan_str q) flat)
+  in
+  let check = Alcotest.(check (option (list string))) in
+  check "//x anchors on its rows" (Some [ "x" ]) (served "//x");
+  check "//a//x anchors on the rarer a's subtrees" (Some [ "a" ])
+    (names "//a//x");
+  check "a union anchors on both labels" (Some [ "a"; "b" ])
+    (names "//a | //b");
+  check "a branch without a name test scans" None (names "//b | /*/*");
+  check "the posting lists cannot answer RESTRICTED" None
+    (served "//RESTRICTED");
+  check "nor a RESTRICTED step above a named one" None
+    (served "//RESTRICTED/x")
 
 (* ------------------------------------------------------------------ *)
 (* Permission-equivalence classes (Serve)                              *)
@@ -599,6 +698,97 @@ let test_served_zipf_fallback () =
       Core.Op.Doc (Xupdate.Op.remove "/*/*[1]") ];
   check "after a document commit"
 
+(* The served read mix's compiled shapes, [//a] and [//a/b] over Zipf
+   labels, on a small Gen_large document: Rewrite.select on each
+   class's served lazy view takes the anchored plan (the stats name the
+   anchor labels) for all but the densest labels, and answers exactly
+   like Session.query on the materialised view — before and after a
+   document commit that patches every class's oracle. *)
+let test_served_anchored () =
+  let module G = Workload.Gen_large in
+  let config =
+    { G.default with G.target_nodes = 2_000; max_depth = 5; max_children = 8;
+      seed = 5 }
+  in
+  let doc = G.generate config in
+  let subjects =
+    Core.Subject.of_list
+      [ (Core.Subject.Role, "staff", []);
+        (Core.Subject.User, "ed", [ "staff" ]);
+        (Core.Subject.User, "ur0", [ "staff" ]);
+        (Core.Subject.User, "ur1", []) ]
+  in
+  let rule d p path subject priority =
+    Core.Rule.v d p ~path ~subject ~priority
+  in
+  let open Core.Rule in
+  let open Core.Privilege in
+  let policy =
+    Core.Policy.v subjects
+      [ rule Accept Read "//node()" "staff" 1;
+        rule Deny Read "//e1//node()" "ur0" 2;
+        rule Deny Read "//e1" "ur0" 3;
+        rule Accept Position "//e1" "ur0" 4;
+        rule Accept Read "//node()" "ur1" 5;
+        rule Deny Read "//e3" "ur1" 6;
+        rule Accept Update "//node()" "ed" 7;
+        rule Accept Insert "//node()" "ed" 8;
+        rule Accept Delete "//node()" "ed" 9 ]
+  in
+  let users = [ "ed"; "ur0"; "ur1" ] in
+  let serve = Core.Serve.create policy doc in
+  Core.Serve.login_many serve users;
+  let rng = ref (Prng.create 23) in
+  let label () =
+    let r, l = G.sample_label config !rng in
+    rng := r;
+    l
+  in
+  let queries =
+    List.init 30 (fun k ->
+        if k mod 2 = 0 then "//" ^ label ()
+        else Printf.sprintf "//%s/%s" (label ()) (label ()))
+  in
+  let check stage =
+    let anchored = ref 0 and total = ref 0 in
+    List.iter
+      (fun user ->
+        let session = Core.Serve.session serve ~user in
+        List.iter
+          (fun q ->
+            let stats = Xpath.Compile.stats () in
+            let got =
+              Core.Rewrite.select ~stats (Core.Rewrite.plan_str q)
+                (Core.Serve.lazy_view serve ~user)
+            in
+            incr total;
+            if stats.Xpath.Compile.anchors <> [] then incr anchored;
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: %s for %s = Session.query" stage q user)
+              (List.map Ordpath.to_string (Core.Session.query session q))
+              (List.map Ordpath.to_string got))
+          queries)
+      users;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: most reads anchored (%d of %d)" stage !anchored
+         !total)
+      true
+      (2 * !anchored > !total)
+  in
+  check "initial";
+  (match
+     Core.Serve.commit_ops serve ~user:"ed"
+       [ Core.Op.Doc
+           (Xupdate.Op.append "/*"
+              (Tree.element (G.label_of_rank 40)
+                 [ Tree.element (G.label_of_rank 2) [ Tree.text "new" ] ]));
+         Core.Op.Doc (Xupdate.Op.remove "/*/*[2]") ]
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail (Core.Txn.error_to_string e));
+  Test_support.Snapshot_check.check_served "after a document commit" serve;
+  check "after a document commit"
+
 let () =
   Alcotest.run "rewrite"
     [
@@ -620,6 +810,7 @@ let () =
             test_write_only_privileges;
           Alcotest.test_case "positional predicates under //" `Quick
             test_positional_under_descendant;
+          Alcotest.test_case "anchored plan probes" `Quick test_anchor_probes;
         ] );
       ( "equivalence-classes",
         [
@@ -634,5 +825,10 @@ let () =
         [
           Alcotest.test_case "Zipf //a[b] in every class across commits"
             `Quick test_served_zipf_fallback;
+        ] );
+      ( "served anchored",
+        [
+          Alcotest.test_case "Zipf //a and //a/b take the anchored plan"
+            `Quick test_served_anchored;
         ] );
     ]
