@@ -180,8 +180,8 @@ let e3 () =
 
 let e4 () =
   section "E4: axiom 13 policy — conflict resolution (axiom 14)";
-  let doc = P.document () in
-  let perm_of user = Core.Perm.compute P.policy doc ~user in
+  let flat = Xmldoc.Flat.of_document (P.document ()) in
+  let perm_of user = Core.Perm.compute P.policy flat ~user in
   let count user priv =
     Ordpath.Set.cardinal (Core.Perm.permitted (perm_of user) priv)
   in
@@ -322,12 +322,13 @@ let e10 () =
   let config = { Workload.Gen_doc.default with patients = 20; seed = 3 } in
   let doc = Workload.Gen_doc.generate config in
   let policy = Workload.Gen_policy.hospital config in
+  let flat = Xmldoc.Flat.of_document doc in
   check "E10" "view parity on a 20-patient hospital (secretary)"
     (Core.Logic_encoding.view_parity
-       (Core.Session.login policy doc ~user:"beaufort"));
+       (Core.Session.login ~flat policy doc ~user:"beaufort"));
   check "E10" "view parity on a 20-patient hospital (epidemiologist)"
     (Core.Logic_encoding.view_parity
-       (Core.Session.login policy doc ~user:"richard"))
+       (Core.Session.login ~flat policy doc ~user:"richard"))
 
 (* ---------------------------------------------------------------------- *)
 (* E11: availability / leakage vs the §2 baselines                         *)
@@ -338,9 +339,13 @@ let e11 () =
   let config = { Workload.Gen_doc.default with patients = 200; seed = 7 } in
   let doc = Workload.Gen_doc.generate config in
   let policy = Workload.Gen_policy.hospital config in
+  let flat = Xmldoc.Flat.of_document doc in
   List.iter
     (fun user ->
-      let c = Baselines.Metrics.compare_models policy doc ~user in
+      let c =
+        Baselines.Metrics.compare_models
+          (Core.Session.login ~flat policy doc ~user)
+      in
       Printf.printf "\nuser %s (%d source nodes, %d readable):\n" user
         c.source_nodes c.readable_nodes;
       print_endline Baselines.Metrics.header;
@@ -365,11 +370,9 @@ let e11 () =
             && c.core_restricted > 0)
        | _ -> ()))
     [ "richard"; "beaufort" ];
-  let perm =
-    Core.Perm.compute policy doc ~user:"richard"
-  in
+  let perm = Core.Perm.compute policy flat ~user:"richard" in
   check "E11" "core view never leaks an unreadable label (invariant)"
-    (Baselines.Metrics.core_leaked (Core.View.derive doc perm) perm = 0)
+    (Baselines.Metrics.core_leaked (Core.View.derive flat perm) perm = 0)
 
 (* ---------------------------------------------------------------------- *)
 (* Performance benches (E7, E8, E9, E12) with Bechamel                     *)
@@ -462,6 +465,7 @@ let e8 () =
 let e9 () =
   section "E9: conflict resolution vs policy size (axiom 14)";
   let doc = Workload.Gen_doc.generate { Workload.Gen_doc.default with patients = 50; seed = 17 } in
+  let flat = Xmldoc.Flat.of_document doc in
   let tests =
     List.map
       (fun rules ->
@@ -469,7 +473,7 @@ let e9 () =
         Test.make
           ~name:(Printf.sprintf "%4d rules" rules)
           (Staged.stage (fun () ->
-               ignore (Core.Perm.compute policy doc ~user:"u"))))
+               ignore (Core.Perm.compute policy flat ~user:"u"))))
       [ 10; 100; 500 ]
   in
   emit_bechamel "E9" ~params:"hospital 50 patients, random policies"
@@ -478,8 +482,9 @@ let e9 () =
 let e12 () =
   section "E12: secure update throughput per operation (axioms 18-25)";
   let doc, policy = hospital 100 19 in
-  let doctor = Core.Session.login policy doc ~user:"laporte" in
-  let secretary = Core.Session.login policy doc ~user:"beaufort" in
+  let flat = Xmldoc.Flat.of_document doc in
+  let doctor = Core.Session.login ~flat policy doc ~user:"laporte" in
+  let secretary = Core.Session.login ~flat policy doc ~user:"beaufort" in
   let ops =
     [
       ("rename", secretary, Xupdate.Op.rename "/patients/*[1]" "renamed");
@@ -522,7 +527,9 @@ let e10_timing () =
 let e13 () =
   section "E13: lazy view (query filtering, §5) vs materialised view";
   let doc, policy = hospital 1000 29 in
-  let session = Core.Session.login policy doc ~user:"laporte" in
+  (* Both arms start from one snapshot, frozen outside the timed runs. *)
+  let flat = Xmldoc.Flat.of_document doc in
+  let session = Core.Session.login ~flat policy doc ~user:"laporte" in
   let narrow = Xpath.Parser.parse "/patients/*[17]/service/text()" in
   let broad = Xpath.Parser.parse "//diagnosis/text()" in
   let perm = Core.Session.perm session in
@@ -530,37 +537,25 @@ let e13 () =
     [
       Test.make ~name:"materialise view + narrow query"
         (Staged.stage (fun () ->
-             let view = Core.View.derive doc perm in
+             let view = Core.View.derive flat perm in
              ignore (Xpath.Eval.select (Xpath.Eval.env view) narrow)));
       Test.make ~name:"lazy view + narrow query"
         (Staged.stage (fun () ->
-             let lv = Core.Lazy_view.create doc perm in
+             let lv = Core.Lazy_view.create flat perm in
              ignore (Core.Lazy_view.select lv narrow)));
       Test.make ~name:"materialise view + broad query"
         (Staged.stage (fun () ->
-             let view = Core.View.derive doc perm in
+             let view = Core.View.derive flat perm in
              ignore (Xpath.Eval.select (Xpath.Eval.env view) broad)));
       Test.make ~name:"lazy view + broad query"
         (Staged.stage (fun () ->
-             let lv = Core.Lazy_view.create doc perm in
+             let lv = Core.Lazy_view.create flat perm in
              ignore (Core.Lazy_view.select lv broad)));
     ]
   in
   let rows = benchmark_group "lazy" tests in
-  (* Work-saving: how many visibility decisions does the narrow query
-     need? *)
-  let lv = Core.Lazy_view.create doc perm in
-  ignore (Core.Lazy_view.select lv narrow);
-  let probed_fraction =
-    float_of_int (Core.Lazy_view.probed_nodes lv) /. float_of_int (D.size doc)
-  in
-  Printf.printf
-    "  narrow query decided visibility for %d of %d nodes (%.1f%%)\n"
-    (Core.Lazy_view.probed_nodes lv) (D.size doc)
-    (100. *. probed_fraction);
   emit_json "E13" ~params:"hospital 1000 patients, doctor"
-    (("narrow query probed fraction", probed_fraction, "ratio")
-     :: List.map (fun (name, est) -> (name, est, "ns/run")) rows)
+    (List.map (fun (name, est) -> (name, est, "ns/run")) rows)
 
 let e15 () =
   section "E15: XSLT security processor (§5) vs direct view derivation";
@@ -568,7 +563,8 @@ let e15 () =
   (* Compilation is per-policy, not per-document: measure both phases. *)
   let sheet = Core.Xslt_enforcer.compile policy ~user:"beaufort" in
   let vars = [ ("USER", Xpath.Value.Str "beaufort") ] in
-  let perm = Core.Perm.compute policy doc ~user:"beaufort" in
+  let flat = Xmldoc.Flat.of_document doc in
+  let perm = Core.Perm.compute policy flat ~user:"beaufort" in
   let tests =
     [
       Test.make ~name:"compile stylesheet from policy"
@@ -578,12 +574,12 @@ let e15 () =
         (Staged.stage (fun () ->
              ignore (Xslt.Engine.apply ~vars sheet doc)));
       Test.make ~name:"direct view derivation (200 patients)"
-        (Staged.stage (fun () -> ignore (Core.View.derive doc perm)));
+        (Staged.stage (fun () -> ignore (Core.View.derive flat perm)));
     ]
   in
   emit_bechamel "E15" ~params:"hospital 200 patients, secretary"
     (benchmark_group "xslt" tests);
-  let direct = Core.View.derive doc perm in
+  let direct = Core.View.derive flat perm in
   let enforced = Xslt.Engine.apply ~vars sheet doc in
   check "E15" "stylesheet output serializes identically to the view"
     (String.equal
@@ -844,7 +840,10 @@ let staff_workload n_users =
    as (document, delta) pairs. *)
 let e17_workload () =
   let doc, policy, users = staff_workload 8 in
-  let sessions = List.map (fun u -> Core.Session.login policy doc ~user:u) users in
+  let flat = Xmldoc.Flat.of_document doc in
+  let sessions =
+    List.map (fun u -> Core.Session.login ~flat policy doc ~user:u) users
+  in
   let steps =
     let rec go doc i acc =
       if i > 24 then List.rev acc
@@ -903,9 +902,20 @@ let e17 () =
     replay_through sessions steps h_incremental (fun s doc delta ->
         Core.Session.apply_delta s doc delta)
   in
+  (* Re-derivation runs on a snapshot: each step's document is frozen
+     once, for all 8 sessions. *)
+  let frozen = ref None in
+  let flat_of doc =
+    match !frozen with
+    | Some (d, fl) when d == doc -> fl
+    | _ ->
+      let fl = Xmldoc.Flat.of_document doc in
+      frozen := Some (doc, fl);
+      fl
+  in
   let scratch_time, scratch =
     replay_through sessions steps h_scratch (fun s doc _delta ->
-        Core.Session.refresh s doc)
+        Core.Session.refresh ~flat:(flat_of doc) s doc)
   in
   check "E17" "incremental sessions match from-scratch re-derivation"
     (List.for_all2
@@ -1025,8 +1035,9 @@ let e19 () =
     (List.length (Core.Policy.rules policy))
     (List.length users);
   (* Same decisions first: the per-rule loop is the reference. *)
+  let flat = Xmldoc.Flat.of_document doc in
   let same_facts u =
-    let a = Core.Perm.compute policy doc ~user:u in
+    let a = Core.Perm.compute policy flat ~user:u in
     let b = Core.Perm.compute_per_rule policy doc ~user:u in
     Core.Perm.facts a doc = Core.Perm.facts b doc
   in
@@ -1040,13 +1051,14 @@ let e19 () =
     Obs.Metrics.histogram Obs.Metrics.default "bench_e19_per_rule_seconds"
       ~help:"E19 conflict resolution, per-rule Eval.select loop"
   in
-  (* Best-of-5 of resolving all 8 users, timed through the histogram
-     layer; one warm-up round each. *)
-  let best h compute =
+  (* Best-of-5 of resolving all 8 users from the document, timed
+     through the histogram layer; one warm-up round each.  The compiled
+     arm resolves on a snapshot, so its round freezes the document
+     once. *)
+  let best h resolve_all =
     let round () =
       let s0 = Obs.Metrics.sum h in
-      Obs.Metrics.time h (fun () ->
-          List.iter (fun u -> ignore (compute policy doc ~user:u)) users);
+      Obs.Metrics.time h resolve_all;
       Obs.Metrics.sum h -. s0
     in
     ignore (round ());
@@ -1056,12 +1068,19 @@ let e19 () =
     go 5 Float.infinity
   in
   let compiled =
-    best h_compiled (fun policy doc ~user -> Core.Perm.compute policy doc ~user)
+    best h_compiled (fun () ->
+        let flat = Xmldoc.Flat.of_document doc in
+        List.iter (fun u -> ignore (Core.Perm.compute policy flat ~user:u)) users)
   in
-  let per_rule = best h_per_rule Core.Perm.compute_per_rule in
+  let per_rule =
+    best h_per_rule (fun () ->
+        List.iter
+          (fun u -> ignore (Core.Perm.compute_per_rule policy doc ~user:u))
+          users)
+  in
   let speedup = if compiled > 0. then per_rule /. compiled else Float.infinity in
   Printf.printf
-    "  8 users x full policy: per-rule %.2f ms, compiled %.2f ms (%.1fx)\n"
+    "  8 users x full policy: per-rule %.2f ms, compiled (freeze included) %.2f ms (%.1fx)\n"
     (1000. *. per_rule) (1000. *. compiled) speedup;
   check "E19" "compiled resolution is >= 5x faster" (speedup >= 5.);
   emit_json "E19" ~params:"1391-node hospital, 12 rules, 8 users, best of 5"
@@ -1424,12 +1443,16 @@ let e23 () =
     float (Gc.stat ()).Gc.live_words *. float (Sys.word_size / 8)
   in
   (* Per-user baseline, sampled: dedicated sessions with materialised
-     secure views (what serving without the class layer costs). *)
+     secure views (what serving without the class layer costs), all
+     resolved on one snapshot, as a server would publish it. *)
+  let flat = Xmldoc.Flat.of_document doc in
   let keep = Array.make sample None in
   let m0 = live_bytes () in
   let t0 = Unix.gettimeofday () in
   for j = 0 to sample - 1 do
-    let s = Core.Session.login policy doc ~user:(Printf.sprintf "u%d" j) in
+    let s =
+      Core.Session.login ~flat policy doc ~user:(Printf.sprintf "u%d" j)
+    in
     ignore (Core.Session.view s);
     keep.(j) <- Some s
   done;
@@ -1468,7 +1491,7 @@ let e23 () =
        (fun u ->
          D.equal
            (Core.Serve.view serve ~user:u)
-           (Core.Session.view (Core.Session.login policy doc ~user:u)))
+           (Core.Session.view (Core.Session.login ~flat policy doc ~user:u)))
        [ "u0"; "u1"; "u24"; "u99999" ]);
   emit_json "E23"
     ~params:
@@ -1636,7 +1659,7 @@ let e24 () =
       ("observability overhead", 100. *. overhead, "%") ]
 
 (* ---------------------------------------------------------------------- *)
-(* E25: flattened columnar store — hot-path speedup + streaming ingest     *)
+(* E25: flattened columnar store — hot path + streaming ingest             *)
 (* ---------------------------------------------------------------------- *)
 
 (* Prices the Xmldoc.Flat snapshot on the million-node hot path it was
@@ -1645,16 +1668,17 @@ let e24 () =
    Three measurements:
 
    - the permission + view hot path (Perm.compute, View.derive and a
-     batch of compiled //label plans through Rewrite) over the columnar
-     snapshot vs the map-backed document — the >= 5x floor the design
-     claims, gated here and via the committed baseline row;
+     batch of compiled //label plans through Rewrite) on the columnar
+     snapshot, with the snapshot's freeze priced beside it — the only
+     representation reads run on, gated via the committed baseline
+     rows;
    - end-to-end streaming ingest: Gen_large's byte stream through
      Xml_parse.flat_of_channel with no intermediate Tree.t, reported as
      nodes/sec, plus the snapshot's bytes/node;
    - a served Zipf query/update mix, each commit re-freezing the
      snapshot (the epoch publication cost readers amortise). *)
 let e25 () =
-  section "E25: columnar Flat snapshot — hot-path speedup + streaming ingest";
+  section "E25: columnar Flat snapshot — hot path + streaming ingest";
   let module F = Xmldoc.Flat in
   let module G = Workload.Gen_large in
   let config = { G.default with G.target_nodes = 100_000 } in
@@ -1689,33 +1713,22 @@ let e25 () =
   let plans = List.map Core.Rewrite.plan_str query_texts in
   check "E25" "all 16 Zipf queries compile (downward fragment)"
     (List.for_all Core.Rewrite.compiled plans);
-  (* One full reader bring-up: conflict resolution, axiom 15-17 view
-     derivation, then the 16 compiled plans.  The flat arm threads the
-     snapshot through the same entry points; answers must coincide. *)
-  let hot_path flat_opt () =
-    let perm =
-      match flat_opt with
-      | Some flat -> Core.Perm.compute ~flat policy doc ~user
-      | None -> Core.Perm.compute policy doc ~user
-    in
-    let view =
-      match flat_opt with
-      | Some flat -> Core.View.derive ~flat doc perm
-      | None -> Core.View.derive doc perm
-    in
-    let lv =
-      match flat_opt with
-      | Some flat -> Core.Lazy_view.create ~flat doc perm
-      | None -> Core.Lazy_view.create doc perm
-    in
-    let answers = List.map (fun p -> Core.Rewrite.select p lv) plans in
-    (view, answers)
+  (* One full reader bring-up on the snapshot: conflict resolution,
+     axiom 15-17 view derivation, then the 16 compiled plans, whose
+     answers must be those of the general evaluator on the view. *)
+  let hot_path () =
+    let perm = Core.Perm.compute policy flat ~user in
+    let view = Core.View.derive flat perm in
+    let lv = Core.Lazy_view.create flat perm in
+    (view, List.map (fun p -> Core.Rewrite.select p lv) plans)
   in
-  let view_map, answers_map = hot_path None () in
-  let view_flat, answers_flat = hot_path (Some flat) () in
-  check "E25" "flat hot path answers = map-backed answers"
-    (D.equal view_map view_flat
-     && List.for_all2 (List.equal Ordpath.equal) answers_map answers_flat);
+  let view, answers = hot_path () in
+  check "E25" "compiled plans = Xpath.Eval on the materialised view"
+    (List.for_all2
+       (fun p got ->
+         List.equal Ordpath.equal got
+           (Xpath.Eval.select (Xpath.Eval.env view) (Core.Rewrite.expr p)))
+       plans answers);
   let best h f =
     let round () =
       let s0 = Obs.Metrics.sum h in
@@ -1728,22 +1741,14 @@ let e25 () =
     in
     go 5 Float.infinity
   in
-  let h_map =
-    Obs.Metrics.histogram Obs.Metrics.default "bench_e25_map_seconds"
-      ~help:"E25 reader bring-up + 16 compiled queries, map-backed document"
-  in
   let h_flat =
     Obs.Metrics.histogram Obs.Metrics.default "bench_e25_flat_seconds"
       ~help:"E25 reader bring-up + 16 compiled queries, columnar snapshot"
   in
-  let t_map = best h_map (hot_path None) in
-  let t_flat = best h_flat (hot_path (Some flat)) in
-  let speedup = t_map /. t_flat in
+  let t_flat = best h_flat hot_path in
   Printf.printf
-    "  hot path (Perm.compute + View.derive + 16 plans): map %.2f ms, flat %.2f ms (%.1fx)\n"
-    (1000. *. t_map) (1000. *. t_flat) speedup;
-  check "E25" "columnar snapshot >= 5x on the view/NFA hot path"
-    (speedup >= 5.);
+    "  hot path (Perm.compute + View.derive + 16 plans) on the snapshot: %.2f ms\n"
+    (1000. *. t_flat);
   (* Streaming ingest: the generator's byte stream into the flat builder
      through a channel — no Tree.t, no Document.t on the way in. *)
   let h_freeze =
@@ -1811,9 +1816,7 @@ let e25 () =
           (Printf.sprintf
              "%d-node Zipf document (s=%.1f, %d labels), 1 reader, 16 compiled plans, best-of-5"
              n config.G.zipf_s config.G.distinct_labels)
-        [ ("hot path (map)", t_map, "s");
-          ("hot path (flat)", t_flat, "s");
-          ("hot path speedup", speedup, "x");
+        [ ("hot path (flat)", t_flat, "s");
           ("flat freeze", t_freeze, "s");
           ("streaming ingest", t_ingest, "s");
           ("ingest throughput", float_of_int n /. t_ingest, "nodes/s");
@@ -1872,7 +1875,8 @@ let e26 () =
         Core.Rule.deny Core.Privilege.Delete ~path:"//e2/e1//node()"
           ~subject:user ~priority:12 ]
   in
-  let perm0 = Core.Perm.compute base_policy big ~user in
+  let flat = Xmldoc.Flat.of_document big in
+  let perm0 = Core.Perm.compute base_policy flat ~user in
   let churned =
     Core.Policy.add_rule base_policy
       (Core.Rule.deny Core.Privilege.Read ~path:"//e5/node()" ~subject:user
@@ -1880,11 +1884,10 @@ let e26 () =
   in
   (* The two arms must agree before they race: one visibility byte per
      node over the same frozen snapshot. *)
-  let flat = Xmldoc.Flat.of_document big in
   let incr, _ =
     Core.Perm.update_policy ~flat perm0 ~old_policy:base_policy churned big
   in
-  let scratch = Core.Perm.compute ~flat churned big ~user in
+  let scratch = Core.Perm.compute churned flat ~user in
   check "E26" "update_policy = compute after the churned rule"
     (Bytes.equal
        (Core.Perm.flat_visibility incr flat)
@@ -1911,7 +1914,7 @@ let e26 () =
   let incr_arm () =
     Core.Perm.update_policy ~flat perm0 ~old_policy:base_policy churned big
   in
-  let full_arm () = Core.Perm.compute ~flat churned big ~user in
+  let full_arm () = Core.Perm.compute churned flat ~user in
   ignore (time_once h_incr incr_arm);
   ignore (time_once h_full full_arm);
   let t_incr = ref Float.infinity and t_full = ref Float.infinity in

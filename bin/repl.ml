@@ -126,12 +126,7 @@ let handle session line =
     else List.iter (fun id -> print_string (Core.Explain.describe session id)) ids;
     session
   | "compare" ->
-    let comparison =
-      Baselines.Metrics.compare_models
-        (Core.Session.policy session)
-        (Core.Session.source session)
-        ~user:(Core.Session.user session)
-    in
+    let comparison = Baselines.Metrics.compare_models session in
     print_endline Baselines.Metrics.header;
     Format.printf "%a@." Baselines.Metrics.pp comparison;
     session

@@ -54,12 +54,15 @@ let handle_errors f =
   | Core.Txn.Aborted e ->
     err code_txn "txn" "%s" (Core.Txn.error_to_string e)
 
+(* [f session flat]: one frozen snapshot of the document serves the login
+   and the commands that read on it. *)
 let with_session doc_path policy_path user f =
   handle_errors (fun () ->
       let doc = load_doc doc_path in
       let policy = Core.Policy_lang.parse (read_file policy_path) in
-      let session = Core.Session.login policy doc ~user in
-      f session;
+      let flat = Xmldoc.Flat.of_document doc in
+      let session = Core.Session.login ~flat policy doc ~user in
+      f session flat;
       0)
 
 (* --- common arguments --------------------------------------------------- *)
@@ -104,7 +107,7 @@ let render_doc render doc =
 
 let view_cmd =
   let run doc policy user render =
-    with_session doc policy user (fun session ->
+    with_session doc policy user (fun session _ ->
         render_doc render (Core.Session.view session))
   in
   Cmd.v
@@ -138,14 +141,12 @@ let query_cmd =
              Answers are identical to the default view evaluation.")
   in
   let run doc policy user q on_source rewrite =
-    with_session doc policy user (fun session ->
+    with_session doc policy user (fun session flat ->
         let ids =
           if on_source then Core.Session.query_source session q
           else if rewrite then begin
-            (* The served read path: one frozen snapshot of the source,
-               so fallbacks run on its visibility oracle too. *)
-            let flat = Xmldoc.Flat.of_document (Core.Session.source session) in
-            let lv = Core.Lazy_view.of_session ~flat session in
+            (* The served read path, on the login's snapshot. *)
+            let lv = Core.Lazy_view.of_session flat session in
             let plan = Core.Rewrite.plan_str q in
             Printf.eprintf "rewrite: %s path%s\n%!"
               (if Core.Rewrite.compiled plan then "compiled" else "fallback")
@@ -722,7 +723,7 @@ let explain_cmd =
   in
   let run doc policy user path plan_mode json =
     if not plan_mode then
-      with_session doc policy user (fun session ->
+      with_session doc policy user (fun session _ ->
           let ids = Core.Session.query_source session path in
           if ids = [] then print_endline "no node selected"
           else
@@ -783,13 +784,8 @@ let check_cmd =
 
 let compare_cmd =
   let run doc policy user =
-    with_session doc policy user (fun session ->
-        let comparison =
-          Baselines.Metrics.compare_models
-            (Core.Session.policy session)
-            (Core.Session.source session)
-            ~user:(Core.Session.user session)
-        in
+    with_session doc policy user (fun session _ ->
+        let comparison = Baselines.Metrics.compare_models session in
         print_endline Baselines.Metrics.header;
         Format.printf "%a@." Baselines.Metrics.pp comparison)
   in
@@ -1618,7 +1614,7 @@ let repl_cmd =
           ~doc:"Read commands from this file instead of stdin (no prompt).")
   in
   let run doc policy user script =
-    with_session doc policy user (fun session ->
+    with_session doc policy user (fun session _ ->
         let session =
           match script with
           | None -> Repl.run session stdin ~prompt:true

@@ -75,7 +75,8 @@ let () =
   show_policy admin;
 
   let policy = Core.Admin.policy admin in
-  let session = Core.Session.login policy doc ~user:"bob" in
+  let flat = Xmldoc.Flat.of_document doc in
+  let session = Core.Session.login ~flat policy doc ~user:"bob" in
   Printf.printf "\nbob's view (%d nodes):\n"
     (Core.View.visible_count (Core.Session.view session));
   print_string (Xmldoc.Xml_print.tree_view (Core.Session.view session));
@@ -90,13 +91,12 @@ let () =
        (Xmldoc.Xml_print.to_string ~indent:true enforced));
 
   print_endline "\n2. Lazy query filtering (no materialisation):";
-  let lv = Core.Lazy_view.of_session session in
-  let hits = Core.Lazy_view.select_str lv "//patient/name/text()" in
-  Printf.printf "//patient/name/text() through the lazy view: %d hits, "
-    (List.length hits);
-  Printf.printf "visibility decided for %d of %d nodes\n"
-    (Core.Lazy_view.probed_nodes lv)
-    (Xmldoc.Document.size doc);
+  let lv = Core.Lazy_view.of_session flat session in
+  let query = "//patient/name/text()" in
+  let hits = Core.Lazy_view.select_str lv query in
+  Printf.printf "%s through the lazy view: %d hits, equal to the view's: %b\n"
+    query (List.length hits)
+    (hits = Core.Session.query session query);
 
   print_endline "\n=== Cascading revocation ===";
   Printf.printf "chief revokes alice's delegation (timestamp %d)...\n"
@@ -109,7 +109,7 @@ let () =
     (List.length (Core.Policy.rules (Core.Admin.policy admin)))
     (List.length (Core.Admin.delegations admin));
   let session =
-    Core.Session.login (Core.Admin.policy admin) doc ~user:"bob"
+    Core.Session.login ~flat (Core.Admin.policy admin) doc ~user:"bob"
   in
   Printf.printf "bob's view afterwards: %d nodes\n"
     (Core.View.visible_count (Core.Session.view session))

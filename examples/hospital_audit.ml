@@ -19,7 +19,8 @@ let () =
     config.patients;
 
   (* --- the epidemiologist's audit ------------------------------------- *)
-  let audit = Core.Session.login policy doc ~user:"richard" in
+  let flat = Xmldoc.Flat.of_document doc in
+  let audit = Core.Session.login ~flat policy doc ~user:"richard" in
   let view = Core.Session.view audit in
   Printf.printf "richard's view: %d nodes (%d of them RESTRICTED)\n\n"
     (Core.View.visible_count view)
@@ -65,7 +66,7 @@ let () =
 
   (* --- model comparison (E11) ----------------------------------------- *)
   print_endline "\nmodel comparison for richard (E11 metrics):";
-  let comparison = Baselines.Metrics.compare_models policy doc ~user:"richard" in
+  let comparison = Baselines.Metrics.compare_models audit in
   print_endline Baselines.Metrics.header;
   Format.printf "%a@." Baselines.Metrics.pp comparison;
   print_endline
@@ -74,11 +75,12 @@ let () =
 
   (* --- a patient session ----------------------------------------------- *)
   let patient = List.nth (Workload.Gen_doc.patient_names config) 3 in
-  let session = Core.Session.login policy doc ~user:patient in
+  let session = Core.Session.login ~flat policy doc ~user:patient in
   Printf.printf "\npatient %s sees %d nodes; the secretary sees %d\n" patient
     (Core.View.visible_count (Core.Session.view session))
     (Core.View.visible_count
-       (Core.Session.view (Core.Session.login policy doc ~user:"beaufort")));
+       (Core.Session.view
+          (Core.Session.login ~flat policy doc ~user:"beaufort")));
   Printf.printf "%s's own diagnosis: %s\n" patient
     (match Core.Session.query session "//diagnosis/text()" with
      | [ id ] ->

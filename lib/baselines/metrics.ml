@@ -22,9 +22,9 @@ let core_leaked view perm =
       else acc)
     view 0
 
-let compare_models policy doc ~user =
-  let perm = Core.Perm.compute policy doc ~user in
-  let core_view = Core.View.derive doc perm in
+let compare_models session =
+  let doc = Core.Session.source session and perm = Core.Session.perm session in
+  let core_view = Core.Session.view session in
   let restricted =
     D.fold
       (fun (n : Xmldoc.Node.t) acc ->

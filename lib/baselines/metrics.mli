@@ -15,8 +15,9 @@ type comparison = {
       (** unreadable labels the [7]-style view reveals (leakage) *)
 }
 
-val compare_models :
-  Core.Policy.t -> Xmldoc.Document.t -> user:string -> comparison
+val compare_models : Core.Session.t -> comparison
+(** The session's view against the baselines' views of its source, built
+    from the session's resolved permissions. *)
 
 val core_leaked : Xmldoc.Document.t -> Core.Perm.t -> int
 (** Labels revealed by the core view without [read] — always 0

@@ -26,7 +26,7 @@ let can_hold_children doc id =
   | _ -> false
 
 let apply policy doc ~user op =
-  let perm = Core.Perm.compute policy doc ~user in
+  let perm = Core.Perm.compute policy (Xmldoc.Flat.of_document doc) ~user in
   let holds = Core.Perm.holds perm in
   let vars = [ ("USER", Xpath.Value.Str user) ] in
   (* The defining flaw: selection on the source. *)

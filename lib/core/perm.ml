@@ -317,16 +317,13 @@ let memo_select env =
    ($USER bound), sharing selections across rules with identical path
    text, and merge the resulting decisions into [decisions] by rule
    priority. *)
-let merge_fallback ?stats ?flat doc ~user decisions rules =
+let merge_fallback ?stats fl ~user decisions rules =
   match rules with
   | [] -> decisions
   | rules ->
     let vars = [ ("USER", Xpath.Value.Str user) ] in
     let select =
-      memo_select
-        (match flat with
-         | Some fl -> Xpath.Eval.env_of_source ~vars (Xpath.Source.of_flat fl)
-         | None -> Xpath.Eval.env ~vars doc)
+      memo_select (Xpath.Eval.env_of_source ~vars (Xpath.Source.of_flat fl))
     in
     let extras : (Ordpath.t * Rule.t) list array = Array.make 5 [] in
     List.iter
@@ -362,7 +359,7 @@ let merge_fallback ?stats ?flat doc ~user decisions rules =
           Dmap.merge higher_priority base (Array.of_list (dedupe sorted)))
       decisions
 
-let compute ?flat policy doc ~user =
+let compute policy fl ~user =
   let rules = Policy.rules_for policy ~user in
   let stats = stats_index rules in
   let downward, fallback = partition_rules rules in
@@ -373,13 +370,9 @@ let compute ?flat policy doc ~user =
      let matcher = matcher_of_rules downward in
      let push = node_pusher ?stats () in
      let f () (n : Xmldoc.Node.t) rules = push acc n.id rules in
-     (match flat with
-      | Some fl -> Xpath.Compile.fold_flat matcher fl ~init:() ~f
-      | None -> Xpath.Compile.fold matcher doc ~init:() ~f));
+     Xpath.Compile.fold_flat matcher fl ~init:() ~f);
   let decisions =
-    merge_fallback ?stats ?flat doc ~user
-      (Array.map Dmap.of_rev_list acc)
-      fallback
+    merge_fallback ?stats fl ~user (Array.map Dmap.of_rev_list acc) fallback
   in
   count_decided stats decisions;
   { user; decisions }
@@ -446,51 +439,69 @@ let profile policy ~user =
    over exactly the subtrees rooted at [roots] (one compiled
    sub-traversal per root, re-threading the automaton state down the
    root's ancestor chain) and splice the resulting spans into the sorted
-   stores.  Sound whenever every rule path is downward and decisions
-   outside [roots] are unchanged — the callers establish that. *)
-let resplice ?flat t rules doc roots =
+   stores of the [touched] privileges; the other stores are returned as
+   they are.  Sound whenever every rule path is downward, [rules] holds
+   every applicable rule of the touched privileges, and their decisions
+   outside [roots] are unchanged — the callers establish that.  Without
+   a snapshot the sub-traversals run on the node map: the staging path,
+   whose staged document has not been frozen. *)
+let resplice ?flat t ~touched rules doc roots =
   let stats = stats_index rules in
-  let matcher = matcher_of_rules rules in
   let acc : (Ordpath.t * Rule.t) list array = Array.make 5 [] in
-  let push = node_pusher ?stats () in
-  let f () (n : Xmldoc.Node.t) rules = push acc n.id rules in
-  (match flat with
-   | Some fl ->
-     (* One shared run over all the roots — {!Delta.of_roots} yields them
-        disjoint and ascending, which is exactly the range fold's
-        contract. *)
-     let ranges =
-       List.filter_map
+  (match rules with
+   | [] -> ()
+   | rules -> (
+     let matcher = matcher_of_rules rules in
+     let push = node_pusher ?stats () in
+     let f () (n : Xmldoc.Node.t) rules = push acc n.id rules in
+     match flat with
+     | Some fl ->
+       (* One shared run over all the roots — {!Delta.of_roots} yields
+          them disjoint and ascending, which is exactly the range fold's
+          contract. *)
+       let ranges =
+         List.filter_map
+           (fun root ->
+             Option.map
+               (fun ix -> (ix, Xmldoc.Flat.subtree_end fl ix))
+               (Xmldoc.Flat.find_ix fl root))
+           roots
+       in
+       Xpath.Compile.fold_ranges_flat matcher fl ~ranges ~init:() ~f
+     | None ->
+       List.iter
          (fun root ->
-           Option.map
-             (fun ix -> (ix, Xmldoc.Flat.subtree_end fl ix))
-             (Xmldoc.Flat.find_ix fl root))
-         roots
-     in
-     Xpath.Compile.fold_ranges_flat matcher fl ~ranges ~init:() ~f
-   | None ->
-     List.iter
-       (fun root -> Xpath.Compile.fold_subtree matcher doc ~root ~init:() ~f)
-       roots);
+           Xpath.Compile.fold_subtree matcher doc ~root ~init:() ~f)
+         roots));
   let additions = Array.map Dmap.of_rev_list acc in
   (* Decided over the re-resolved spans only — the unaffected bulk
      was already counted when its decisions were first computed. *)
   count_decided stats additions;
   let decisions =
-    Array.map2
-      (fun base additions -> Dmap.splice base roots additions)
-      t.decisions additions
+    Array.mapi
+      (fun i base ->
+        if touched.(i) then Dmap.splice base roots additions.(i) else base)
+      t.decisions
   in
   { t with decisions }
 
+(* A full recompute runs on a snapshot; a staged document that has none
+   is frozen for it. *)
+let recompute ?flat policy doc ~user =
+  let fl =
+    match flat with Some fl -> fl | None -> Xmldoc.Flat.of_document doc
+  in
+  compute policy fl ~user
+
 let update ?flat t policy doc delta =
   match delta with
-  | Delta.All -> compute ?flat policy doc ~user:t.user
+  | Delta.All -> recompute ?flat policy doc ~user:t.user
   | Delta.Local [] -> t
   | Delta.Local roots ->
     let rules = Policy.rules_for policy ~user:t.user in
-    if not (Delta.local_rules rules) then compute ?flat policy doc ~user:t.user
-    else resplice ?flat t rules doc roots
+    if not (Delta.local_rules rules) then
+      recompute ?flat policy doc ~user:t.user
+    else resplice ?flat t ~touched:(Array.make 5 true) rules doc roots
 
 (* Incremental re-resolution under policy churn: the document is
    unchanged, the applicable rule list is not.  A decision can only
@@ -516,7 +527,7 @@ let update_policy ?flat t ~old_policy policy doc =
     in
     if unchanged then (t, Delta.empty)
     else if not (Delta.local_rules new_rules) then
-      (compute ?flat policy doc ~user, Delta.all)
+      (recompute ?flat policy doc ~user, Delta.all)
     else begin
       let module IM = Map.Make (Int) in
       let index rules =
@@ -588,29 +599,53 @@ let update_policy ?flat t ~old_policy policy doc =
         ({ t with decisions }, Delta.of_roots added_ids)
       end
       else begin
+        (* Axiom 14 resolves each privilege from that privilege's rules
+           alone, so only the stores of the added and removed rules'
+           privileges can change: only their rules are re-matched, and
+           the other stores come back physically unchanged. *)
+        let of_privileges rules =
+          let on = Array.make 5 false in
+          List.iter
+            (fun (r : Rule.t) -> on.(privilege_index r.privilege) <- true)
+            rules;
+          on
+        in
+        let touched = of_privileges (added @ removed) in
         let added_ids =
           if added = [] then [] else snd (select_added ())
         in
-        (* (b) nodes the removed/changed rules currently decide *)
+        (* (b) nodes the removed/changed rules currently decide, read off
+           the stores of their privileges *)
         let removed_prios =
           List.fold_left
             (fun m (r : Rule.t) -> IM.add r.priority () m)
             IM.empty removed
         in
-        let removed_ids =
-          Array.fold_left
-            (fun acc store ->
-              Dmap.fold
-                (fun id (r : Rule.t) acc ->
-                  if IM.mem r.priority removed_prios then id :: acc else acc)
-                store acc)
-            [] t.decisions
+        let removed_in = of_privileges removed in
+        let removed_ids = ref [] in
+        Array.iteri
+          (fun i store ->
+            if removed_in.(i) then
+              removed_ids :=
+                Dmap.fold
+                  (fun id (r : Rule.t) acc ->
+                    if IM.mem r.priority removed_prios then id :: acc
+                    else acc)
+                  store !removed_ids)
+          t.decisions;
+        let rules =
+          List.filter
+            (fun (r : Rule.t) -> touched.(privilege_index r.privilege))
+            new_rules
         in
-        match Delta.of_roots (List.rev_append removed_ids added_ids) with
-        | Delta.All -> (compute ?flat policy doc ~user, Delta.all)
+        match Delta.of_roots (List.rev_append !removed_ids added_ids) with
         | Delta.Local [] -> (t, Delta.empty)
         | Delta.Local roots as delta ->
-          (resplice ?flat t new_rules doc roots, delta)
+          (resplice ?flat t ~touched rules doc roots, delta)
+        | Delta.All ->
+          (* A rule on the document node: every node is re-matched. *)
+          ( resplice ?flat t ~touched rules doc [ Ordpath.document ],
+            Delta.all )
       end
     end
   end

@@ -6,25 +6,22 @@
 
 type t
 
-val compute :
-  ?flat:Xmldoc.Flat.t -> Policy.t -> Xmldoc.Document.t -> user:string -> t
-(** Resolves every applicable rule against the source document.  Rules in
-    the downward fragment — in practice almost all of them — are merged
-    into one {!Xpath.Compile} automaton and resolved for all five
-    privileges in a single top-down pass; the rest are evaluated
+val compute : Policy.t -> Xmldoc.Flat.t -> user:string -> t
+(** Resolves every applicable rule against a frozen snapshot of the
+    source document.  Rules in the downward fragment — in practice almost
+    all of them — are merged into one {!Xpath.Compile} automaton and
+    resolved for all five privileges in a single top-down pass over the
+    columnar store ({!Xpath.Compile.fold_flat}); the rest are evaluated
     individually with [$USER] bound to [user].  The two result streams
     merge by rule priority, reproducing the ascending most-recent-wins
-    order of axiom 14.
-
-    When [?flat] is given it must be a frozen snapshot of [doc]; the
-    traversals then run over the columnar store
-    ({!Xpath.Compile.fold_flat}) instead of the node map, with identical
-    results. *)
+    order of axiom 14.  A caller holding only a document freezes it
+    ({!Xmldoc.Flat.of_document}). *)
 
 val compute_per_rule : Policy.t -> Xmldoc.Document.t -> user:string -> t
 (** The pre-compilation implementation: one [Eval.select] per applicable
-    rule, ascending priority.  Semantically equal to {!compute}; kept as
-    the differential-testing and benchmarking baseline. *)
+    rule over the node map, ascending priority.  Semantically equal to
+    {!compute}; kept as the differential-testing and benchmarking
+    baseline. *)
 
 val user : t -> string
 
@@ -49,8 +46,14 @@ val update :
     (decisions outside an affected subtree cannot have changed when every
     applicable rule path is downward — see {!Delta.local_rules}).  Falls
     back to a full {!compute} on {!Delta.All} or when a non-downward rule
-    applies.  Equivalent to [compute policy doc ~user:(user t)] whenever
-    [delta] covers the differences between the old and new document. *)
+    applies.  Equivalent to [compute policy (Flat.of_document doc)
+    ~user:(user t)] whenever [delta] covers the differences between the
+    old and new document.
+
+    [?flat], when given, must be a frozen snapshot of [doc], and every
+    traversal runs on it.  Without one — transaction staging, whose
+    staged document has no snapshot yet — the delta's subtrees are
+    re-matched on the node map, and a full recompute freezes [doc]. *)
 
 val update_policy :
   ?flat:Xmldoc.Flat.t ->
@@ -65,9 +68,13 @@ val update_policy :
     the delta it re-resolved — what view maintenance must cover
     ({!Delta.empty} when the user's applicable rules are untouched by
     the change; {!Delta.all} when a non-downward rule forces the full
-    {!compute} fallback).  Equivalent to
-    [compute policy doc ~user:(user t)] whenever [t] agrees with
-    [compute old_policy doc]. *)
+    {!compute} fallback, or when a changed rule decides the document node
+    and every node is re-matched).  Equivalent to
+    [compute policy (Flat.of_document doc) ~user:(user t)] whenever [t]
+    agrees with the same for [old_policy].  Axiom 14 resolves each
+    privilege from that privilege's rules alone: only the stores of the
+    added and removed rules' privileges are re-matched, and the others
+    come back physically unchanged.  [?flat] as for {!update}. *)
 
 val holds : t -> Privilege.t -> Ordpath.t -> bool
 (** [perm(user, n, r)]. *)

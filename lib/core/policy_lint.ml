@@ -13,10 +13,11 @@ let analyse policy doc =
   let live = Hashtbl.create 16 in
   let reachable = Hashtbl.create 16 in
   let grants_something = Hashtbl.create 16 in
+  let flat = Xmldoc.Flat.of_document doc in
   List.iter
     (fun user ->
-      let perm = Perm.compute policy doc ~user in
-      let view = View.derive doc perm in
+      let perm = Perm.compute policy flat ~user in
+      let view = View.derive flat perm in
       Xmldoc.Document.iter
         (fun (n : Xmldoc.Node.t) ->
           List.iter

@@ -11,10 +11,9 @@
    node's visibility depends only on its ancestor chain, and so does a
    downward match, so re-threading the automaton down each candidate's
    chain decides it exactly as the full scan would.  Queries outside
-   the downward fragment fall
-   back to the general evaluator over the Lazy_view source, which
-   enforces the same axioms per axis call (on the snapshot's visibility
-   oracle when there is one).  Both paths return exactly what
+   the downward fragment fall back to the general evaluator over the
+   Lazy_view source, which enforces the same axioms per axis call on
+   the same visibility oracle.  Both paths return exactly what
    evaluating the query on the View.derive materialisation would — the
    property test/test_rewrite.ml pins down differentially. *)
 
@@ -80,39 +79,31 @@ let select ?vars ?stats t lv =
     Obs.Metrics.inc m_compiled;
     Obs.Trace.with_span "rewrite.select" (fun () ->
         let f acc (n : Xmldoc.Node.t) _ = n.id :: acc in
+        let fl, vis = Lazy_view.flat_visibility lv in
+        (* Per-epoch byte oracle: visibility is an array read, and only
+           position-only nodes allocate a remapped copy. *)
+        let view ix (n : Xmldoc.Node.t) =
+          match Bytes.unsafe_get vis ix with
+          | '\000' -> None
+          | '\001' -> Some n
+          | _ -> Some { n with label = View.restricted }
+        in
         List.rev
-          (match Lazy_view.flat_visibility lv with
-           | Some (fl, vis) -> (
-             (* Per-epoch byte oracle: visibility is an array read, and
-                only position-only nodes allocate a remapped copy. *)
-             let view ix (n : Xmldoc.Node.t) =
-               match Bytes.unsafe_get vis ix with
-               | '\000' -> None
-               | '\001' -> Some n
-               | _ -> Some { n with label = View.restricted }
-             in
-             match anchor t fl with
-             | Some a ->
-               Obs.Metrics.inc m_anchored;
-               Option.iter
-                 (fun (s : Xpath.Compile.stats) ->
-                   s.anchors <- Xpath.Compile.anchor_names a)
-                 stats;
-               (* A candidate shown as RESTRICTED does not carry its
-                  posting-list label in the view. *)
-               let shown ix = Bytes.unsafe_get vis ix = '\001' in
-               Xpath.Compile.fold_ranges_flat ?stats ~view auto fl
-                 ~ranges:(Xpath.Compile.anchor_ranges ~shown fl a)
-                 ~init:[] ~f
-             | None ->
-               Xpath.Compile.fold_view_flat ?stats auto fl ~view ~init:[] ~f)
+          (match anchor t fl with
+           | Some a ->
+             Obs.Metrics.inc m_anchored;
+             Option.iter
+               (fun (s : Xpath.Compile.stats) ->
+                 s.anchors <- Xpath.Compile.anchor_names a)
+               stats;
+             (* A candidate shown as RESTRICTED does not carry its
+                posting-list label in the view. *)
+             let shown ix = Bytes.unsafe_get vis ix = '\001' in
+             Xpath.Compile.fold_ranges_flat ?stats ~view auto fl
+               ~ranges:(Xpath.Compile.anchor_ranges ~shown fl a)
+               ~init:[] ~f
            | None ->
-             let view (n : Xmldoc.Node.t) =
-               if Lazy_view.visible lv n.id then Some (Lazy_view.remap lv n)
-               else None
-             in
-             Xpath.Compile.fold_view ?stats auto (Lazy_view.doc lv) ~view
-               ~init:[] ~f))
+             Xpath.Compile.fold_view_flat ?stats auto fl ~view ~init:[] ~f))
   | None ->
     Obs.Metrics.inc m_fallback;
     (* No automaton on this path: "visited" counts the nodes the view's

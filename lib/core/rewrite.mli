@@ -4,10 +4,11 @@
 
     A downward query ({!Xpath.Ast.is_downward}) compiles to one
     {!Xpath.Compile} automaton; {!select} runs it with the
-    {!Lazy_view}'s visibility and label remapping as the view callback —
-    hidden subtrees are pruned wholesale and position-only nodes present
-    their [RESTRICTED] label to the automaton's name tests.  On a
-    snapshot the run takes one of two plans, chosen per query from the
+    {!Lazy_view}'s visibility oracle and label remapping as the view
+    callback — hidden subtrees are pruned wholesale and position-only
+    nodes present their [RESTRICTED] label to the automaton's name
+    tests.  The run over the lazy view's snapshot takes one of two
+    plans, chosen per query from the
     snapshot's posting-list lengths ({!anchor}): an {e anchored} run
     over the label-index candidates of every union branch
     ({!Xpath.Compile.anchor_ranges}; only candidates the oracle shows
@@ -17,14 +18,13 @@
     a name test asks for [RESTRICTED], or the candidates are too dense.
     Both give the same answers.  Non-downward queries (predicates, upward
     axes, [$USER]) fall back to the general evaluator over
-    {!Lazy_view.source}, which enforces the same axioms per axis call —
-    on the snapshot and its visibility oracle when the lazy view has one
-    (where [//a[b]] answers from the label index, see
-    {!Xpath.Eval.select}), on the memoised node map otherwise.  Either
-    way the answers are exactly those
-    of evaluating the query on the {!View.derive} materialisation, in
-    document order — the equivalence [test/test_rewrite.ml] checks
-    differentially on seeded (policy, document, query) triples.
+    {!Lazy_view.source}, which enforces the same axioms per axis call on
+    the same snapshot and visibility oracle (and answers [//a[b]] from
+    the label index, see {!Xpath.Eval.select}).  Either way the answers
+    are exactly those of evaluating the query on the materialised view,
+    in document order — the equivalence [test/test_rewrite.ml] checks
+    differentially on seeded (policy, document, query) triples, against
+    axioms 15–17 derived on the node map.
 
     A plan mentions neither the user nor the policy: downward queries
     cannot reference [$USER], so one compiled plan is shared across all

@@ -175,7 +175,7 @@ let fresh_shared t ~source ~flat ~profile ~user =
         (List.map
            (fun (r : Rule.t) -> r.Rule.priority)
            (Policy.rules_for t.policy ~user));
-  { profile; rep; lazy_view = Lazy_view.of_session ~flat rep; members = 0 }
+  { profile; rep; lazy_view = Lazy_view.of_session flat rep; members = 0 }
 
 let snapshot t = locked t (fun () -> (t.source, t.flat))
 
@@ -357,16 +357,23 @@ let rule_desc t (r : Rule.t) =
         desc)
 
 (* Deciding rules over (a bounded prefix of) the answer set: which rules
-   actually granted Read on what the query returned.  Bounded so a
-   100k-answer query costs at most [budget] binary searches of telemetry
+   made what the query returned visible — the read grant, or, for an
+   answer the view shows as RESTRICTED, the position grant (as
+   {!Explain.visibility} reports it).  Bounded so a 100k-answer query
+   costs at most [budget] answers' binary searches of telemetry
    overhead. *)
 let deciding_rules_of t perm ids ~budget =
   let seen = Hashtbl.create 8 in
+  let deciding id =
+    match Perm.deciding_rule perm Privilege.Read id with
+    | Some (r : Rule.t) when r.Rule.decision = Rule.Accept -> Some r
+    | Some _ | None -> Perm.deciding_rule perm Privilege.Position id
+  in
   let rec go budget acc = function
     | [] -> List.rev acc
     | _ when budget <= 0 -> List.rev acc
     | id :: rest -> (
-      match Perm.deciding_rule perm Privilege.Read id with
+      match deciding id with
       | Some (r : Rule.t) when not (Hashtbl.mem seen r.Rule.priority) ->
         Hashtbl.add seen r.Rule.priority ();
         go (budget - 1) (rule_desc t r :: acc) rest
@@ -423,8 +430,8 @@ let rebase_class ?slot ?txn ~flat source delta cls =
    | None -> ());
   let session = Session.apply_delta ~flat cls.rep source delta in
   Obs.Trace.annotate "user" (Session.user session);
-  (* apply_delta widens internally for non-local sessions; the lazy memo
-     must be widened the same way, as its entries depend on the same
+  (* apply_delta widens internally for non-local sessions; the lazy view
+     must be widened the same way, as its oracle depends on the same
      locality argument. *)
   let lazy_delta =
     if Session.policy_local session then begin
@@ -450,8 +457,7 @@ let rebase_class ?slot ?txn ~flat source delta cls =
        });
   cls.rep <- session;
   cls.lazy_view <-
-    Lazy_view.rebase ~flat cls.lazy_view source (Session.perm session)
-      lazy_delta
+    Lazy_view.rebase cls.lazy_view flat (Session.perm session) lazy_delta
 
 type committed = {
   reports : Secure_update.report list;
@@ -473,10 +479,10 @@ type committed = {
      - every other group rebases one old representative onto the new
        document (apply_delta) and the new policy (apply_policy, again
        the incremental path);
-     - a lazy view migrates by [Lazy_view.rebase] only when its old
-       class fed exactly ONE new profile (rebasing shares the memo
-       table, so one lazy view must be rebased at most once); groups fed
-       by a split or a merge rebuild with [Lazy_view.of_session].
+     - every group rebases the lazy view of the class its representative
+       came from (its donor) along the same two deltas.  A rebase is
+       pure, so an old class that feeds several new profiles (a split)
+       donates to each of them.
 
    Group builds are pure and run on the pool, like login fan-outs. *)
 let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
@@ -496,8 +502,8 @@ let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
       | Some l -> l := (e.user, e.cls) :: !l
       | None -> Hashtbl.add groups profile (ref [ (e.user, e.cls) ]))
     entries;
-  (* Old profile -> new profiles it feeds; drives both the split/merge
-     counters and the sole-feeder lazy-view migration rule. *)
+  (* Old profile -> new profiles it feeds: an old class feeding several
+     is a split. *)
   let feeds : (string, string list ref) Hashtbl.t = Hashtbl.create 8 in
   Hashtbl.iter
     (fun profile members ->
@@ -522,11 +528,6 @@ let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
         in
         if List.length olds > 1 then acc + 1 else acc)
       groups 0
-  in
-  let sole_feeder (old : shared) profile =
-    match Hashtbl.find_opt feeds old.profile with
-    | Some ps -> ( match !ps with [ p ] -> String.equal p profile | _ -> false)
-    | None -> false
   in
   let writer_user = Session.user writer in
   let writer_profile = Perm.profile policy ~user:writer_user in
@@ -561,22 +562,21 @@ let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
         (rep', pdelta, old0)
       end
     in
-    let combined = Delta.union delta pdelta in
+    (* The two deltas cover the donor's decision changes only while its
+       rules were downward before and after: a non-local class re-resolves
+       everywhere. *)
     let lazy_delta =
-      if Session.policy_local rep' then combined else Delta.all
+      if Session.policy_local old0.rep && Session.policy_local rep' then
+        Delta.union delta pdelta
+      else Delta.all
     in
     Obs.Metrics.inc
       (match lazy_delta with
        | Delta.All -> m_rebase_full
        | Delta.Local _ -> m_rebase_incremental);
     let lazy_view =
-      if sole_feeder old0 profile then
-        Obs.Trace.with_span "lazy_view.rebase" (fun () ->
-            Lazy_view.rebase ~flat old0.lazy_view source (Session.perm rep')
-              lazy_delta)
-      else
-        Obs.Trace.with_span "lazy_view.rebuild" (fun () ->
-            Lazy_view.of_session ~flat rep')
+      Obs.Trace.with_span "lazy_view.rebase" (fun () ->
+          Lazy_view.rebase old0.lazy_view flat (Session.perm rep') lazy_delta)
     in
     if Obs.Rulestats.enabled () then
       Obs.Rulestats.note_class ~profile
@@ -693,8 +693,8 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
       in
       e.cls.lazy_view <-
         Obs.Trace.with_span "lazy_view.rebase" (fun () ->
-            Lazy_view.rebase ~flat:flat' e.cls.lazy_view source'
-              (Session.perm session') lazy_delta);
+            Lazy_view.rebase e.cls.lazy_view flat' (Session.perm session')
+              lazy_delta);
       (* Fan-out over a lock-free snapshot: classes are disjoint, so
          workers never contend; pool size 1 reproduces the sequential
          broadcast exactly. *)

@@ -9,16 +9,17 @@
     ({!Perm.profile}): users whose applicable rules are identical and
     [$USER]-free provably resolve to the same decisions, so they share
     one session state — one decision store, one materialised view, one
-    memoised {!Lazy_view}, one broadcast rebase.  Logins, fan-out work
+    {!Lazy_view}, one broadcast rebase.  Logins, fan-out work
     and memory scale with the number of distinct permission profiles,
     not the number of logged users; users carrying a [$USER] rule form
     singleton classes and behave exactly as dedicated sessions.
 
     Each class carries both enforcement engines: the incrementally
-    maintained materialised view (axioms 15–17 via {!Session.apply_delta})
-    and a memoised {!Lazy_view} for query filtering, rebased on each
-    broadcast; {!query} answers through the compiled {!Rewrite} read path
-    (plans cached per query text, shared by every session).  Classes
+    maintained materialised view (axioms 15–17 via {!Session.apply_delta}),
+    which serves writes, and a {!Lazy_view} over the published snapshot
+    for query filtering, rebased on each broadcast; {!query} answers
+    through the compiled {!Rewrite} read path (plans cached per query
+    text, shared by every session).  Classes
     whose rules are not downward ({!Session.policy_local}) transparently
     fall back to full re-derivation on every write — same answers, no
     locality. *)
@@ -129,7 +130,8 @@ val commit_ops :
     ([serve_class_splits_total] / [serve_class_merges_total]), and each
     class is rebased exactly once against the new (document, policy)
     epoch, reusing incremental re-resolution ({!Perm.update_policy}) and
-    migrating lazy views where sound.
+    rebasing the lazy view of the class each group's representative came
+    from.
 
     [?admin] activates §4.3 administrative authority checks with [user]
     as issuer (see {!Txn.commit_ops}).

@@ -41,19 +41,26 @@ let h_login =
   Obs.Metrics.histogram Obs.Metrics.default "session_login_seconds"
     ~help:"Login latency (perm resolution + view derivation)"
 
+(* Resolution and derivation read a snapshot: the caller's, or one
+   frozen here (outside the [flat.freeze] span, which counts the
+   snapshots a server publishes). *)
+let snapshot ?flat source =
+  match flat with Some fl -> fl | None -> Xmldoc.Flat.of_document source
+
 let login ?flat policy source ~user =
   if not (Subject.mem (Policy.subjects policy) user) then
     raise (Unknown_user user);
   Obs.Metrics.time h_login (fun () ->
       Obs.Trace.with_span "session.login" (fun () ->
           Obs.Trace.annotate "user" user;
+          let flat = snapshot ?flat source in
           let perm =
             Obs.Trace.with_span "perm.compute" (fun () ->
-                Perm.compute ?flat policy source ~user)
+                Perm.compute policy flat ~user)
           in
           let view =
             Obs.Trace.with_span "view.derive" (fun () ->
-                View.derive ?flat source perm)
+                View.derive flat perm)
           in
           let local = Delta.local_rules (Policy.rules_for policy ~user) in
           Obs.Metrics.inc m_logins;
@@ -114,25 +121,25 @@ let refresh ?(quiet = false) ?flat t source =
   if not quiet then Obs.Metrics.inc m_refresh_full;
   Obs.Trace.with_span "session.refresh" (fun () ->
       Obs.Trace.annotate "user" t.user;
+      let flat = snapshot ?flat source in
       let perm =
         Obs.Trace.with_span "perm.compute" (fun () ->
-            Perm.compute ?flat t.policy source ~user:t.user)
+            Perm.compute t.policy flat ~user:t.user)
       in
       let view =
-        Obs.Trace.with_span "view.derive" (fun () ->
-            View.derive ?flat source perm)
+        Obs.Trace.with_span "view.derive" (fun () -> View.derive flat perm)
       in
       { t with source; perm; view })
 
 (* The applicable rules the view depends on: axioms 15-17 read only the
    read and position decisions. *)
-let view_rules policy ~user =
+let view_rules rules =
   List.filter
     (fun (r : Rule.t) ->
       match r.privilege with
       | Privilege.Read | Privilege.Position -> true
       | Privilege.Insert | Privilege.Update | Privilege.Delete -> false)
-    (Policy.rules_for policy ~user)
+    rules
 
 (* Policy churn: the source is unchanged, the rule list is not.  The
    perm store hands back exactly the delta it re-resolved, so the view
@@ -146,19 +153,25 @@ let apply_policy ?(quiet = false) ?flat t policy =
   if t.policy == policy then (t, Delta.empty)
   else begin
     let count c = if not quiet then Obs.Metrics.inc c in
+    let old_rules = Policy.rules_for t.policy ~user:t.user
+    and rules = Policy.rules_for policy ~user:t.user in
+    let local = Delta.local_rules rules in
+    (* A change to non-local rules recomputes everything and may re-derive
+       the view: both read one snapshot, frozen here when the caller has
+       none. *)
+    let flat =
+      if local || List.equal Rule.equal old_rules rules then flat
+      else Some (snapshot ?flat t.source)
+    in
     let perm, delta =
       Obs.Trace.with_span "perm.update_policy" (fun () ->
           Perm.update_policy ?flat t.perm ~old_policy:t.policy policy t.source)
     in
-    let local = Delta.local_rules (Policy.rules_for policy ~user:t.user) in
     let delta =
       match delta with
       | Delta.Local [] -> delta
       | Delta.All | Delta.Local _ ->
-        if
-          List.equal Rule.equal
-            (view_rules t.policy ~user:t.user)
-            (view_rules policy ~user:t.user)
+        if List.equal Rule.equal (view_rules old_rules) (view_rules rules)
         then Delta.empty
         else delta
     in
@@ -170,7 +183,7 @@ let apply_policy ?(quiet = false) ?flat t policy =
       count m_refresh_full;
       let view =
         Obs.Trace.with_span "view.derive" (fun () ->
-            View.derive ?flat t.source perm)
+            View.derive (snapshot ?flat t.source) perm)
       in
       ({ t with policy; perm; view; local }, delta)
     | Delta.Local _ ->

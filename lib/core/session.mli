@@ -9,9 +9,10 @@ exception Unknown_user of string
 
 val login :
   ?flat:Xmldoc.Flat.t -> Policy.t -> Xmldoc.Document.t -> user:string -> t
-(** When [?flat] is a frozen snapshot of the source, permission
-    resolution and view derivation run over the columnar store (same
-    answers, large documents resolve much faster).
+(** Resolves the user's permissions ({!Perm.compute}) and derives the
+    view ({!View.derive}), both on a frozen snapshot of the source:
+    [?flat] when the caller already froze one, otherwise one frozen
+    here.
     @raise Unknown_user if the user is not declared in the policy's
     subject hierarchy. *)
 
@@ -46,8 +47,9 @@ val refresh : ?quiet:bool -> ?flat:Xmldoc.Flat.t -> t -> Xmldoc.Document.t -> t
 (** Re-resolves permissions and re-derives the view after the source
     database changed.  [quiet] (default [false]) suppresses the session
     counters — {!Txn} stages speculative rebases that must leave the
-    metrics registry untouched if the transaction aborts.  [?flat], when
-    given, must be a frozen snapshot of the {e new} source. *)
+    metrics registry untouched if the transaction aborts.  Like {!login}
+    it runs on a snapshot of the {e new} source: [?flat] when the caller
+    has one, otherwise one frozen here. *)
 
 val apply_delta :
   ?quiet:bool -> ?flat:Xmldoc.Flat.t -> t -> Xmldoc.Document.t -> Delta.t -> t
@@ -57,7 +59,9 @@ val apply_delta :
     [refresh t source] whenever [delta] covers the differences between
     the old and new source; sessions whose rules are not all downward
     (see {!policy_local}) silently widen the delta and pay the full
-    {!refresh}. *)
+    {!refresh}.  [?flat], when given, must be a frozen snapshot of the
+    new source; without one (transaction staging) the range is
+    re-resolved on the node map, and only a full {!refresh} freezes. *)
 
 val apply_policy :
   ?quiet:bool -> ?flat:Xmldoc.Flat.t -> t -> Policy.t -> t * Delta.t
@@ -73,7 +77,8 @@ val apply_policy :
     delete rules moved — the permissions are still re-resolved, but the
     view is kept physically and the returned delta is empty.  [?flat],
     when given, must be the frozen snapshot of the session's current
-    source. *)
+    source; without one the change is re-resolved on the node map, and
+    the source is frozen once when a full re-derivation needs it. *)
 
 val policy_local : t -> bool
 (** Are all the rules applicable to this session downward paths

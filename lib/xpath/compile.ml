@@ -320,7 +320,7 @@ let fold t doc ~init ~f =
   let stack = ref [] in
   Xmldoc.Document.fold (fun n acc -> visit run stack acc n ~f) doc init
 
-(* Traversal statistics, filled on demand by [fold_view].  A plain
+(* Traversal statistics, filled on demand by the flat folds.  A plain
    mutable record rather than an [Obs] histogram: this library sits below
    the observability layer, so the caller owns aggregation. *)
 type stats = {
@@ -331,48 +331,6 @@ type stats = {
 }
 
 let stats () = { visited = 0; pruned = 0; states = 0; anchors = [] }
-
-(* The automaton run over a *virtual* document: [view] prunes (None) or
-   remaps (Some n', same identifier) each source node.  Pruned subtrees
-   are contiguous in document order, so skipping them costs one ancestor
-   check per node against the last pruned root — no side table.  The
-   remapped node is what the automaton consumes, so name tests see the
-   virtual labels, never the source's. *)
-let fold_view ?stats t doc ~view ~init ~f =
-  let run = new_run t in
-  let stack = ref [] in
-  let pruned = ref None in
-  let acc =
-    Xmldoc.Document.fold
-      (fun (n : Xmldoc.Node.t) acc ->
-        let skip =
-          match !pruned with
-          | Some root -> Ordpath.is_ancestor_or_self ~ancestor:root n.id
-          | None -> false
-        in
-        if skip then begin
-          (match stats with Some s -> s.pruned <- s.pruned + 1 | None -> ());
-          acc
-        end
-        else begin
-          pruned := None;
-          match view n with
-          | None ->
-            pruned := Some n.id;
-            (match stats with
-            | Some s -> s.pruned <- s.pruned + 1
-            | None -> ());
-            acc
-          | Some n' ->
-            (match stats with
-            | Some s -> s.visited <- s.visited + 1
-            | None -> ());
-            visit run stack acc n' ~f
-        end)
-      doc init
-  in
-  (match stats with Some s -> s.states <- s.states + run.n_sets | None -> ());
-  acc
 
 (* ---- Flat-snapshot traversals ----
 

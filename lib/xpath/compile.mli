@@ -27,10 +27,13 @@ val state_count : 'a t -> int
 val fold :
   'a t -> Xmldoc.Document.t -> init:'b ->
   f:('b -> Xmldoc.Node.t -> 'a list -> 'b) -> 'b
-(** Single document-order pass; [f] is called exactly once for every node
-    at least one payload accepts (document node included), with the
-    accepted payloads.  Payload order within the list is unspecified and
-    a payload may repeat when several of its paths accept the node. *)
+(** Single document-order pass over the node map; [f] is called exactly
+    once for every node at least one payload accepts (document node
+    included), with the accepted payloads.  Payload order within the
+    list is unspecified and a payload may repeat when several of its
+    paths accept the node.  The map folds serve transaction staging only
+    ([Core.Perm.update] without a snapshot); every other traversal runs
+    on a snapshot (see below). *)
 
 type stats = {
   mutable visited : int;  (** nodes the automaton consumed *)
@@ -49,35 +52,19 @@ type stats = {
 val stats : unit -> stats
 (** A fresh all-zero counter record. *)
 
-val fold_view :
-  ?stats:stats ->
-  'a t -> Xmldoc.Document.t ->
-  view:(Xmldoc.Node.t -> Xmldoc.Node.t option) ->
-  init:'b -> f:('b -> Xmldoc.Node.t -> 'a list -> 'b) -> 'b
-(** {!fold} over the {e virtual} document induced by [view]: a node for
-    which [view] returns [None] is pruned together with its whole
-    subtree; otherwise the returned node (which must keep the source
-    identifier, but may carry a different label — e.g. [RESTRICTED])
-    is what the automaton consumes and what [f] receives.  Equivalent
-    to materialising the virtual document and running {!fold} on it —
-    the product of the query automaton with the visibility predicate,
-    computed in one shared pass ([Core.Rewrite]'s read path).  When
-    [?stats] is given its counters are incremented in place (visited and
-    pruned per node, states once at the end of the pass). *)
-
 val fold_subtree :
   'a t -> Xmldoc.Document.t -> root:Ordpath.t -> init:'b ->
   f:('b -> Xmldoc.Node.t -> 'a list -> 'b) -> 'b
 (** {!fold} restricted to the subtree rooted at [root] (inclusive): the
     automaton state is re-threaded down the ancestor chain of [root] and
     the traversal then covers only the subtree — the delta-locality path
-    of [Core.Perm.update].  No-op returning [init] when [root] is not in
-    the document. *)
+    of [Core.Perm.update] on a staged document.  No-op returning [init]
+    when [root] is not in the document. *)
 
 (** {1 Flat-snapshot traversals}
 
     The same runs over an {!Xmldoc.Flat} columnar snapshot.  Answers
-    coincide with the map-backed folds over the frozen document; the
+    coincide with the map-backed {!fold} over the frozen document; the
     traversal itself is an index scan — the ancestor stack pops on one
     integer compare per node and a pruned subtree is skipped by jumping
     to its [subtree_end] instead of visiting it. *)
@@ -92,11 +79,19 @@ val fold_view_flat :
   'a t -> Xmldoc.Flat.t ->
   view:(int -> Xmldoc.Node.t -> Xmldoc.Node.t option) ->
   init:'b -> f:('b -> Xmldoc.Node.t -> 'a list -> 'b) -> 'b
-(** {!fold_view} over a flat snapshot; pruned subtrees cost O(1).  The
-    [view] callback additionally receives the node's flat index, so a
+(** {!fold_flat} over the {e virtual} document induced by [view]: a
+    node for which [view] returns [None] is pruned together with its
+    whole subtree, at O(1) cost; otherwise the returned node (which must
+    keep the source identifier, but may carry a different label — e.g.
+    [RESTRICTED]) is what the automaton consumes and what [f] receives.
+    Equivalent to materialising the virtual document and running
+    {!fold_flat} on it — the product of the query automaton with the
+    visibility predicate, computed in one shared pass ([Core.Rewrite]'s
+    read path).  The callback receives the node's flat index, so a
     caller holding a per-index visibility oracle (e.g.
     [Core.Perm.flat_visibility]) answers in O(1) with no ordpath
-    hashing.  This is {!fold_ranges_flat} over the single range of all
+    hashing.  When [?stats] is given its counters are incremented in
+    place.  This is {!fold_ranges_flat} over the single range of all
     rows. *)
 
 val fold_ranges_flat :

@@ -164,13 +164,13 @@ and eval_steps env start steps =
 
 and eval_step env start { axis; test; preds } =
   let candidates =
-    (* Descendant name-tests answer from the per-label index when the
-       source has one: the index is in document order (= axis order for
-       the downward axes), so predicate numbering is unaffected.  The
-       subtree and [in_tree] checks reapply the axis semantics the slow
-       path gets from [axis_nodes]. *)
-    match axis, test, env.src.Source.by_label with
-    | (Descendant | Descendant_or_self), Name name, Some labelled ->
+    (* Descendant name-tests answer from the source's per-label index:
+       the index is in document order (= axis order for the downward
+       axes), so predicate numbering is unaffected.  The subtree and
+       [in_tree] checks reapply the axis semantics the slow path gets
+       from [axis_nodes]. *)
+    match axis, test with
+    | (Descendant | Descendant_or_self), Name name ->
       let or_self = axis = Descendant_or_self in
       List.filter
         (fun (n : Xmldoc.Node.t) ->
@@ -181,7 +181,7 @@ and eval_step env start { axis; test; preds } =
           && ((or_self && Ordpath.equal n.id start)
              || (not (Ordpath.equal n.id start)
                 && Ordpath.is_ancestor ~ancestor:start n.id)))
-        (labelled name)
+        (env.src.Source.by_label name)
     | _ ->
       List.filter (test_matches axis test) (axis_nodes env axis start)
   in

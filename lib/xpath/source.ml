@@ -12,10 +12,8 @@ type t = {
   preceding : Ordpath.t -> Xmldoc.Node.t list;
   attributes : Ordpath.t -> Xmldoc.Node.t list;
   string_value : Ordpath.t -> string;
-  by_label : (string -> Xmldoc.Node.t list) option;
-      (* label -> all nodes carrying it, document order; [None] when the
-         source cannot answer from an index (e.g. a lazy view, whose
-         RESTRICTED remapping changes labels on the fly) *)
+  by_label : string -> Xmldoc.Node.t list;
+      (* label -> all nodes carrying it, document order *)
 }
 
 let of_flat fl =
@@ -34,7 +32,7 @@ let of_flat fl =
     preceding = F.preceding fl;
     attributes = F.attributes fl;
     string_value = F.string_value fl;
-    by_label = Some (F.labelled fl);
+    by_label = F.labelled fl;
   }
 
 let of_document doc =
@@ -53,7 +51,7 @@ let of_document doc =
     preceding = D.preceding doc;
     attributes = D.attributes doc;
     string_value = D.string_value doc;
-    by_label = Some (D.labelled doc);
+    by_label = D.labelled doc;
   }
 
 let counting note src =
@@ -81,5 +79,5 @@ let counting note src =
     preceding = many src.preceding;
     attributes = many src.attributes;
     string_value = src.string_value;
-    by_label = Option.map many src.by_label;
+    by_label = many src.by_label;
   }

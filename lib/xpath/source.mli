@@ -18,12 +18,10 @@ type t = {
   preceding : Ordpath.t -> Xmldoc.Node.t list;
   attributes : Ordpath.t -> Xmldoc.Node.t list;
   string_value : Ordpath.t -> string;
-  by_label : (string -> Xmldoc.Node.t list) option;
+  by_label : string -> Xmldoc.Node.t list;
   (** Per-label index: all nodes carrying the label, in document order.
-      [None] when the source has no exact index (the evaluator then falls
-      back to axis enumeration); a source providing it must return every
-      node whose {e visible} label matches, or descendant name-tests go
-      wrong. *)
+      It must return every node whose {e visible} label matches, or
+      descendant name-tests go wrong. *)
 }
 
 val of_document : Xmldoc.Document.t -> t

@@ -1,6 +1,6 @@
 let run expr lv =
   let auto = Xpath.Compile.compile [ ((), expr) ] in
-  let fl, vis = Option.get (Core.Lazy_view.flat_visibility lv) in
+  let fl, vis = Core.Lazy_view.flat_visibility lv in
   let view ix (n : Xmldoc.Node.t) =
     match Bytes.get vis ix with
     | '\000' -> None

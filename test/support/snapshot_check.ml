@@ -55,42 +55,42 @@ let check what doc ~expected ~got =
   if F.bytes got <> recount_bytes got then
     fail "bytes %d, recounted %d" (F.bytes got) (recount_bytes got)
 
+let first_difference a b =
+  let n = min (Bytes.length a) (Bytes.length b) in
+  let rec go i = if i < n && Bytes.get a i = Bytes.get b i then go (i + 1) else i in
+  go 0
+
 let check_served what serve =
   let source = Core.Serve.source serve in
   let expected = F.of_document source in
   List.iter
     (fun user ->
       let lv = Core.Serve.lazy_view serve ~user in
-      match Core.Lazy_view.flat lv with
-      | None -> failwith (Printf.sprintf "%s: %s's lazy view has no snapshot" what user)
-      | Some got ->
-        check (Printf.sprintf "%s, %s's snapshot" what user) source ~expected ~got;
-        (match Core.Lazy_view.oracle lv with
-         | None -> ()
-         | Some held ->
-           let perm = Core.Session.perm (Core.Serve.session serve ~user) in
-           let rebuilt = Core.Perm.flat_visibility perm got in
-           if not (Bytes.equal held rebuilt) then begin
-             let n = min (Bytes.length held) (Bytes.length rebuilt) in
-             let rec first i =
-               if i < n && Bytes.get held i = Bytes.get rebuilt i then
-                 first (i + 1)
-               else i
-             in
-             let i = first 0 in
-             failwith
-               (Printf.sprintf
-                  "%s: %s's held oracle differs from a rebuild (%d vs %d \
-                   rows) at row %d%s"
-                  what user (Bytes.length held) (Bytes.length rebuilt) i
-                  (if i < F.size got then " (" ^ render (F.node got i) ^ ")"
-                   else ""))
-           end);
-        let gauge =
-          Obs.Metrics.gauge_value (Obs.Metrics.gauge Obs.Metrics.default "flat_bytes")
-        in
-        if gauge <> float (F.bytes got) then
+      let got = Core.Lazy_view.flat lv in
+      check (Printf.sprintf "%s, %s's snapshot" what user) source ~expected ~got;
+      let perm = Core.Session.perm (Core.Serve.session serve ~user) in
+      let differ name held want =
+        if not (Bytes.equal held want) then begin
+          let i = first_difference held want in
           failwith
-            (Printf.sprintf "%s: flat_bytes gauge %.0f, published snapshot %d" what
-               gauge (F.bytes got)))
+            (Printf.sprintf "%s: %s's %s (%d vs %d rows) at row %d%s" what user
+               name (Bytes.length held) (Bytes.length want) i
+               (if i < F.size got then " (" ^ render (F.node got i) ^ ")" else ""))
+        end
+      in
+      (match Core.Lazy_view.oracle lv with
+       | None -> ()
+       | Some held ->
+         differ "held oracle differs from a rebuild" held
+           (Core.Perm.flat_visibility perm got));
+      differ "rebuilt oracle differs from the map derivation"
+        (Core.Perm.flat_visibility perm got)
+        (View_oracle.visibility got source perm);
+      let gauge =
+        Obs.Metrics.gauge_value (Obs.Metrics.gauge Obs.Metrics.default "flat_bytes")
+      in
+      if gauge <> float (F.bytes got) then
+        failwith
+          (Printf.sprintf "%s: flat_bytes gauge %.0f, published snapshot %d" what
+             gauge (F.bytes got)))
     (Core.Serve.users serve)

@@ -25,5 +25,6 @@ val check_served : string -> Core.Serve.t -> unit
     a visibility oracle the lazy view holds ({!Core.Lazy_view.oracle}:
     built by a read, or patched by a rebase) equals
     {!Core.Perm.flat_visibility} of the user's permissions on that
-    snapshot, byte for byte.
+    snapshot, byte for byte, which in turn equals the oracle the map
+    derivation implies ({!View_oracle.visibility}).
     @raise Failure as {!check}. *)

@@ -7,7 +7,7 @@ let labels doc =
   List.map (fun (n : Node.t) -> n.label) (Document.nodes doc)
 
 let perm_for user =
-  Core.Perm.compute P.policy (P.document ()) ~user
+  Core.Perm.compute P.policy (Flat.of_document (P.document ())) ~user
 
 (* --- deny-subtree [11] -------------------------------------------------- *)
 
@@ -42,7 +42,7 @@ let test_deny_subtree_subset_of_core () =
       let doc = P.document () in
       let perm = perm_for user in
       let baseline = Baselines.Deny_subtree.derive doc perm in
-      let core = Core.View.derive doc perm in
+      let core = Core.View.derive (Flat.of_document doc) perm in
       Document.iter
         (fun (n : Node.t) ->
           Alcotest.(check bool)
@@ -145,9 +145,13 @@ let test_metrics_consistency () =
   let config = { Workload.Gen_doc.default with patients = 30; seed = 5 } in
   let doc = Workload.Gen_doc.generate config in
   let policy = Workload.Gen_policy.hospital config in
+  let flat = Flat.of_document doc in
   List.iter
     (fun user ->
-      let c = Baselines.Metrics.compare_models policy doc ~user in
+      let c =
+        Baselines.Metrics.compare_models
+          (Core.Session.login ~flat policy doc ~user)
+      in
       Alcotest.(check bool) "visible <= source" true
         (c.core_visible <= c.source_nodes
          && c.deny_subtree_visible <= c.source_nodes
@@ -179,8 +183,9 @@ let test_core_never_leaks_property () =
            Workload.Gen_doc.generate
              { Workload.Gen_doc.default with patients = 5; seed }
          in
-         let perm = Core.Perm.compute policy doc ~user:"u" in
-         Baselines.Metrics.core_leaked (Core.View.derive doc perm) perm = 0))
+         let flat = Flat.of_document doc in
+         let perm = Core.Perm.compute policy flat ~user:"u" in
+         Baselines.Metrics.core_leaked (Core.View.derive flat perm) perm = 0))
 
 let () =
   Alcotest.run "baselines"

@@ -148,7 +148,20 @@ let test_explain () =
   let _, output = plan "//node()" [] in
   check_contains "scan plan" output "rewrite path (scan)";
   let _, output = plan "//service" [ "--json" ] in
-  check_contains "plan JSON" output {|"path":"rewrite","plan":"anchored"|}
+  check_contains "plan JSON" output {|"path":"rewrite","plan":"anchored"|};
+  (* An answer the view shows as RESTRICTED owes its visibility to the
+     position grant, not to the rule that denied read. *)
+  let data file = Filename.concat ".." ("examples/data/" ^ file) in
+  let code, output =
+    run
+      [ "explain"; "--plan"; "-d"; data "patients.xml"; "-p";
+        data "hospital.acl"; "-u"; "beaufort"; "//diagnosis/node()" ]
+  in
+  Alcotest.(check int) "explain --plan RESTRICTED answers: exit 0" 0 code;
+  check_contains "RESTRICTED answers' deciding rule" output
+    "deciding rules: rule(accept, position, //diagnosis/node(), secretary, 12)";
+  Alcotest.(check bool) "the read denial decides nothing shown" false
+    (contains output "rule(deny, read")
 
 let test_check () =
   let policy = policy_file () in

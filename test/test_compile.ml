@@ -183,7 +183,7 @@ let test_perm_vs_reference () =
         Workload.Gen_policy.random ~paths:local_rule_paths config
       else Workload.Gen_policy.random config
     in
-    let compiled = Core.Perm.compute policy doc ~user:"u" in
+    let compiled = Core.Perm.compute policy (Flat.of_document doc) ~user:"u" in
     let reference = Core.Perm.compute_per_rule policy doc ~user:"u" in
     check_perm_equal ~what:(Printf.sprintf "seed %d" seed) doc compiled
       reference;
@@ -258,7 +258,7 @@ let test_update_vs_recompute () =
                               (Format.asprintf "%a" Op.pp op))
       doc'
       (Core.Session.perm session')
-      (Core.Perm.compute policy doc' ~user:"u")
+      (Core.Perm.compute policy (Flat.of_document doc') ~user:"u")
   done
 
 (* ------------------------------------------------------------------ *)

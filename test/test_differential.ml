@@ -1,10 +1,12 @@
 (* Differential property tests for the incremental-maintenance engine:
 
    (a) query filtering (Lazy_view) answers every query exactly as the
-       materialised View.derive view does;
+       view axioms 15-17 derive on the node map (Test_support.View_oracle)
+       does;
    (b) after an XUpdate operation, the incrementally maintained state
        (Session.apply_delta / Perm.update / View.patch / Lazy_view.rebase)
-       is indistinguishable from a from-scratch re-derivation.
+       is indistinguishable from a from-scratch re-derivation, and the
+       rebased visibility oracle from a rebuild.
 
    Every case is generated from a seeded PRNG (lib/workload); a failure
    prints the minimal repro: the seed, the document facts, the policy and
@@ -105,13 +107,13 @@ let repro ~seed ~doc ~policy ~op what =
     (Format.asprintf "%a" Op.pp op)
 
 (* ------------------------------------------------------------------ *)
-(* (a) Lazy_view.select ≡ querying the View.derive materialisation     *)
+(* (a) Lazy_view.select ≡ querying the view derived on the node map    *)
 (* ------------------------------------------------------------------ *)
 
-let check_lazy_agreement ~seed ~doc ~policy ~op session =
-  let lv = Core.Lazy_view.of_session session in
+let check_lazy_agreement ~seed ~doc ~policy ~op ~flat session =
+  let lv = Core.Lazy_view.of_session flat session in
   let vars = Core.Session.user_vars session in
-  let view = Core.Session.view session in
+  let view = Test_support.View_oracle.derive doc (Core.Session.perm session) in
   List.iter
     (fun q ->
       let via_lazy =
@@ -124,7 +126,7 @@ let check_lazy_agreement ~seed ~doc ~policy ~op session =
         failwith
           (repro ~seed ~doc ~policy ~op
              (Printf.sprintf
-                "lazy view disagrees with View.derive on %s:\n  lazy [%s]\n  view [%s]"
+                "lazy view disagrees with the derived view on %s:\n  lazy [%s]\n  view [%s]"
                 q
                 (String.concat "; " via_lazy)
                 (String.concat "; " via_view))))
@@ -138,22 +140,26 @@ let all_ids before after =
   let ids doc = List.map (fun (n : Node.t) -> n.id) (D.nodes doc) in
   List.sort_uniq Ordpath.compare (ids before @ ids after)
 
-let check_incremental_update ~seed ~doc ~policy ~op session =
-  (* A primed lazy view: stale memo entries surviving a bad eviction
-     would be caught below. *)
-  let lv = Core.Lazy_view.of_session session in
+let check_incremental_update ~seed ~doc ~policy ~op ~flat session =
+  (* A primed lazy view: stale oracle bytes surviving a bad patch would be
+     caught below. *)
+  let lv = Core.Lazy_view.of_session flat session in
   ignore (Core.Lazy_view.select_str lv "//node()");
   let session', report = Core.Secure_update.apply session op in
   let source' = Core.Session.source session' in
-  let fresh = Core.Session.refresh session source' in
-  (* Views: patched vs derived from scratch. *)
-  if not (D.equal (Core.Session.view session') (Core.Session.view fresh)) then
+  let flat' = Flat.of_document source' in
+  let fresh = Core.Session.refresh ~flat:flat' session source' in
+  let fresh_view =
+    Test_support.View_oracle.derive source' (Core.Session.perm fresh)
+  in
+  (* Views: patched vs derived from scratch on the node map. *)
+  if not (D.equal (Core.Session.view session') fresh_view) then
     failwith
       (repro ~seed ~doc ~policy ~op
          (Printf.sprintf
             "incremental view <> fresh view\n  incremental: %s\n  fresh: %s"
             (Xml_print.facts (Core.Session.view session'))
-            (Xml_print.facts (Core.Session.view fresh))));
+            (Xml_print.facts fresh_view)));
   (* Permissions: every privilege on every (old or new) node. *)
   let ids = all_ids doc source' in
   List.iter
@@ -177,9 +183,17 @@ let check_incremental_update ~seed ~doc ~policy ~op session =
     else Core.Delta.all
   in
   let lv' =
-    Core.Lazy_view.rebase lv source' (Core.Session.perm session') lazy_delta
+    Core.Lazy_view.rebase lv flat' (Core.Session.perm session') lazy_delta
   in
-  let fresh_view = Core.Session.view fresh in
+  (match Core.Lazy_view.oracle lv' with
+   | Some patched
+     when not
+            (Bytes.equal patched
+               (Core.Perm.flat_visibility (Core.Session.perm session') flat'))
+     ->
+     failwith
+       (repro ~seed ~doc ~policy ~op "patched oracle <> rebuilt oracle")
+   | Some _ | None -> ());
   List.iter
     (fun id ->
       let expect = D.label fresh_view id in
@@ -197,9 +211,10 @@ let check_incremental_update ~seed ~doc ~policy ~op session =
     ids
 
 let run_checks ~seed ~doc ~policy ~op =
-  let session = Core.Session.login policy doc ~user:"u" in
-  check_lazy_agreement ~seed ~doc ~policy ~op session;
-  check_incremental_update ~seed ~doc ~policy ~op session;
+  let flat = Flat.of_document doc in
+  let session = Core.Session.login ~flat policy doc ~user:"u" in
+  check_lazy_agreement ~seed ~doc ~policy ~op ~flat session;
+  check_incremental_update ~seed ~doc ~policy ~op ~flat session;
   session
 
 let test_differential () =
@@ -243,7 +258,7 @@ let test_differential () =
     (!locals > cases / 5 && !locals < 4 * cases / 5)
 
 (* ------------------------------------------------------------------ *)
-(* Invalidation boundaries (cache hit/miss accounting)                 *)
+(* Invalidation boundaries (oracle patches)                            *)
 (* ------------------------------------------------------------------ *)
 
 (* A bespoke database and a fully downward policy for user [u]:
@@ -287,36 +302,58 @@ let find_by_label doc label =
   | Some n -> n.id
   | None -> Alcotest.failf "no node labelled %s" label
 
-(* Prime the memo over the whole document, apply [op], rebase with the
-   report's delta and return (rebased lazy view, new session, report). *)
+(* Prime the oracle over the whole snapshot, apply [op], rebase with the
+   report's delta onto the new snapshot (the primed one when the source
+   did not change, as Serve publishes it) and return (document, primed
+   snapshot and oracle, rebased lazy view, new session, report). *)
 let primed_update op =
   let doc = boundary_doc () in
   let policy = boundary_policy () in
-  let session = Core.Session.login policy doc ~user:"u" in
+  let flat = Flat.of_document doc in
+  let session = Core.Session.login ~flat policy doc ~user:"u" in
   Alcotest.(check bool) "boundary policy is downward" true
     (Core.Session.policy_local session);
-  let lv = Core.Lazy_view.of_session session in
-  ignore (Core.Lazy_view.select_str lv "//node()");
+  let lv = Core.Lazy_view.of_session flat session in
+  let _, primed = Core.Lazy_view.flat_visibility lv in
   let session', report = Core.Secure_update.apply session op in
+  let source' = Core.Session.source session' in
+  let flat' = if source' == doc then flat else Flat.of_document source' in
   let lv' =
-    Core.Lazy_view.rebase lv
-      (Core.Session.source session')
+    Core.Lazy_view.rebase lv flat'
       (Core.Session.perm session')
       report.Core.Secure_update.delta
   in
-  (doc, lv', session', report)
+  (doc, (flat, primed), lv', session', report)
 
-(* After priming, probing [ids] again must be pure cache hits. *)
-let assert_all_hits lv ids =
-  let misses0 = Core.Lazy_view.misses lv in
-  List.iter (fun id -> ignore (Core.Lazy_view.visible lv id)) ids;
-  Alcotest.(check int) "unrelated entries still cached" misses0
-    (Core.Lazy_view.misses lv)
-
-let unrelated doc = List.map (find_by_label doc) [ "root"; "a"; "x"; "one" ]
+(* The rebase patched the primed oracle: the result equals a rebuild on
+   the new snapshot, every row outside the delta kept its byte, and an
+   empty delta onto the same snapshot kept the primed bytes themselves. *)
+let assert_patched (flat, primed) lv session report =
+  let delta = report.Core.Secure_update.delta in
+  let flat' = Core.Lazy_view.flat lv in
+  match Core.Lazy_view.oracle lv with
+  | None -> Alcotest.fail "the rebase dropped the oracle"
+  | Some patched ->
+    Alcotest.(check bool) "patched oracle = rebuild" true
+      (Bytes.equal patched
+         (Core.Perm.flat_visibility (Core.Session.perm session) flat'));
+    for i = 0 to Flat.size flat' - 1 do
+      let id = Flat.id flat' i in
+      if not (Core.Delta.affects delta id) then
+        match Flat.find_ix flat id with
+        | Some j ->
+          Alcotest.(check char)
+            (Printf.sprintf "byte of %s outside the delta" (Ordpath.to_string id))
+            (Bytes.get primed j) (Bytes.get patched i)
+        | None ->
+          Alcotest.failf "%s is outside the delta but new" (Ordpath.to_string id)
+    done;
+    if Core.Delta.is_empty delta && flat' == flat then
+      Alcotest.(check bool) "empty delta: the primed oracle kept" true
+        (patched == primed)
 
 let test_boundary_document_root () =
-  let doc, lv, _, report = primed_update (Op.remove "/") in
+  let _, primed, lv, session', report = primed_update (Op.remove "/") in
   Alcotest.(check bool) "no-op delta" true
     (Core.Delta.is_empty report.Core.Secure_update.delta);
   Alcotest.(check (list (pair string string))) "skipped, not applied"
@@ -324,35 +361,37 @@ let test_boundary_document_root () =
     (List.map
        (fun (id, r) -> (Ordpath.to_string id, r))
        report.Core.Secure_update.skipped);
-  assert_all_hits lv (unrelated doc @ List.map (find_by_label doc) [ "d"; "e" ])
+  assert_patched primed lv session' report
 
 let test_boundary_invisible_target () =
   (* //b is invisible, so the path selects nothing on the view: nothing
      happens, and nothing is evicted. *)
-  let doc, lv, session', report = primed_update (Op.rename "//b" "leak") in
+  let doc, primed, lv, session', report = primed_update (Op.rename "//b" "leak") in
   Alcotest.(check (list string)) "no targets on the view" []
     (List.map Ordpath.to_string report.Core.Secure_update.targets);
   Alcotest.(check bool) "no-op delta" true
     (Core.Delta.is_empty report.Core.Secure_update.delta);
   Alcotest.(check (option string)) "b untouched in the source" (Some "b")
     (D.label (Core.Session.source session') (find_by_label doc "b"));
-  assert_all_hits lv (unrelated doc @ [ find_by_label doc "b" ])
+  assert_patched primed lv session' report
 
 let test_boundary_restricted_target () =
   (* //e/node() is shown RESTRICTED (position only): rename requires read
      and is denied; the cache survives untouched. *)
-  let doc, lv, _, report = primed_update (Op.rename "//e/node()" "leak") in
+  let _, primed, lv, session', report =
+    primed_update (Op.rename "//e/node()" "leak")
+  in
   Alcotest.(check int) "one target on the view" 1
     (List.length report.Core.Secure_update.targets);
   Alcotest.(check int) "denied" 1 (List.length report.Core.Secure_update.denied);
   Alcotest.(check bool) "no-op delta" true
     (Core.Delta.is_empty report.Core.Secure_update.delta);
-  assert_all_hits lv (unrelated doc @ [ find_by_label doc "secret" ])
+  assert_patched primed lv session' report
 
 let test_boundary_adjacent_node () =
   (* Renaming //d evicts exactly d's subtree (d and its text child); the
      siblings a, b, e and their descendants stay cached. *)
-  let doc, lv, session', report = primed_update (Op.rename "//d" "dd") in
+  let doc, primed, lv, session', report = primed_update (Op.rename "//d" "dd") in
   let d = find_by_label doc "d" in
   let three = find_by_label doc "three" in
   Alcotest.(check (list string)) "delta = subtree at d"
@@ -360,17 +399,13 @@ let test_boundary_adjacent_node () =
     (match Core.Delta.roots report.Core.Secure_update.delta with
      | Some roots -> List.map Ordpath.to_string roots
      | None -> [ "ALL" ]);
-  (* Unaffected neighbours answer from cache... *)
-  assert_all_hits lv
-    (unrelated doc @ List.map (find_by_label doc) [ "b"; "e"; "secret" ]);
-  (* ...while the affected subtree was evicted and re-decides. *)
-  let misses0 = Core.Lazy_view.misses lv in
+  (* Unaffected neighbours keep their bytes, while the affected subtree
+     was recomputed. *)
+  assert_patched primed lv session' report;
   Alcotest.(check bool) "renamed node visible again" true
     (Core.Lazy_view.visible lv d);
   Alcotest.(check bool) "its text visible again" true
     (Core.Lazy_view.visible lv three);
-  Alcotest.(check int) "exactly the 2 evicted entries re-decided"
-    (misses0 + 2) (Core.Lazy_view.misses lv);
   Alcotest.(check (option string)) "and carries the new label" (Some "dd")
     (Core.Lazy_view.label lv d);
   Alcotest.(check (option string)) "view agrees" (Some "dd")
@@ -389,26 +424,27 @@ let serve_paper () =
     [ P.beaufort; P.laporte; P.richard; P.robert ];
   serve
 
+(* Every served view, and every served answer, equals the view a fresh
+   login's permissions derive on the node map. *)
 let assert_views_fresh serve =
+  let source = Core.Serve.source serve in
   List.iter
     (fun user ->
-      let fresh =
-        Core.Session.login (Core.Serve.policy serve) (Core.Serve.source serve)
-          ~user
+      let fresh = Core.Session.login (Core.Serve.policy serve) source ~user in
+      let view =
+        Test_support.View_oracle.derive source (Core.Session.perm fresh)
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%s's served view = fresh login view" user)
+        (Printf.sprintf "%s's served view = fresh derived view" user)
         true
-        (D.equal (Core.Serve.view serve ~user) (Core.Session.view fresh));
-      (* The lazy engine agrees with the maintained materialised view. *)
+        (D.equal (Core.Serve.view serve ~user) view);
       List.iter
         (fun q ->
           Alcotest.(check (list string))
             (Printf.sprintf "%s: %s via lazy" user q)
             (List.map Ordpath.to_string
-               (Xpath.Eval.select_str
-                  ~vars:(Core.Session.user_vars fresh)
-                  (Core.Session.view fresh) q))
+               (Xpath.Eval.select_str ~vars:(Core.Session.user_vars fresh)
+                  view q))
             (List.map Ordpath.to_string (Core.Serve.query serve ~user q)))
         [ "//node()"; "//diagnosis/node()"; "//RESTRICTED" ])
     (Core.Serve.users serve)
@@ -455,13 +491,10 @@ let test_serve_broadcast () =
 
 let test_serve_denied_write_keeps_caches () =
   let serve = serve_paper () in
-  List.iter
-    (fun user -> ignore (Core.Serve.query serve ~user "//node()"))
-    (Core.Serve.users serve);
-  let misses_before =
-    List.map (fun u -> Core.Lazy_view.misses (Core.Serve.lazy_view serve ~user:u))
-      (Core.Serve.users serve)
-  in
+  read_all serve;
+  let staff = [ P.beaufort; P.laporte; P.richard ] in
+  let oracle user = Core.Lazy_view.oracle (Core.Serve.lazy_view serve ~user) in
+  let before = List.map oracle staff in
   (* Robert may not rename his own diagnosis: denied, no delta. *)
   let report =
     Core.Serve.update serve ~user:P.robert
@@ -469,25 +502,18 @@ let test_serve_denied_write_keeps_caches () =
   in
   Alcotest.(check bool) "denied" true
     (report.Core.Secure_update.denied <> []);
-  List.iter
-    (fun user -> ignore (Core.Serve.query serve ~user "//node()"))
-    (Core.Serve.users serve);
-  let misses_after =
-    List.map (fun u -> Core.Lazy_view.misses (Core.Serve.lazy_view serve ~user:u))
-      (Core.Serve.users serve)
-  in
-  (* Staff sessions are downward-local and the delta was empty: their
-     repeat query is pure cache hits.  (Patients carry a $USER rule, so
-     they fall back to full invalidation — their miss counters may
-     move.) *)
+  (* Staff classes are downward-local and the delta was empty: each
+     still holds the very oracle it built.  (Patients carry a $USER rule,
+     so their class drops its oracle on any commit.) *)
   List.iter2
-    (fun user (before, after) ->
-      if List.mem user [ P.beaufort; P.laporte; P.richard ] then
-        Alcotest.(check int)
-          (Printf.sprintf "%s: no re-decisions after a denied write" user)
-          before after)
-    (Core.Serve.users serve)
-    (List.combine misses_before misses_after)
+    (fun user before ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the same oracle after a denied write" user)
+        true
+        (match (before, oracle user) with
+         | Some b, Some a -> a == b
+         | _ -> false))
+    staff before
 
 let test_serve_random_traffic () =
   (* 8 sessions, a stream of random single-op writes from rotating

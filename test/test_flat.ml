@@ -11,8 +11,10 @@
    (d) the streaming parser produces node-for-node the snapshot the
        in-memory parser produces — CDATA, references, comments,
        whitespace modes and torn-input errors included;
-   (e) the flat-backed core paths (Perm.compute/update, View.derive,
-       Session, Rewrite.select) answer exactly as the map-backed ones.
+   (e) the snapshot-backed core paths (Perm.compute/update, View.derive,
+       Session, Rewrite.select) answer exactly as the node-map references
+       (the per-rule loop, axioms 15-17 derived on the map, and staged
+       maintenance).
 
    Failures shrink to a minimal document/policy via test/support. *)
 
@@ -519,86 +521,84 @@ let random_policy seed =
 
 let check_core_agreement ~seed doc policy =
   let fl = F.of_document doc in
-  let plain = Core.Session.login policy doc ~user:"u" in
-  let flat = Core.Session.login ~flat:fl policy doc ~user:"u" in
+  let session = Core.Session.login ~flat:fl policy doc ~user:"u" in
   let ids = List.map (fun (n : Node.t) -> n.id) (D.nodes doc) in
-  (* Permissions. *)
-  List.iter
-    (fun privilege ->
-      List.iter
-        (fun id ->
-          if
-            Core.Session.holds plain privilege id
-            <> Core.Session.holds flat privilege id
-          then
-            failwith
-              (Printf.sprintf "Perm.compute ~flat disagrees on %s for %s"
-                 (Ordpath.to_string id)
-                 (Format.asprintf "%a" Core.Privilege.pp privilege)))
-        ids)
-    Core.Privilege.all;
-  (* Views. *)
-  if not (D.equal (Core.Session.view plain) (Core.Session.view flat)) then
-    failwith
-      (Printf.sprintf "View.derive ~flat differs\n  plain: %s\n  flat: %s"
-         (Xml_print.facts (Core.Session.view plain))
-         (Xml_print.facts (Core.Session.view flat)));
-  (* The compiled read path over a flat-backed lazy view. *)
-  let vars = Core.Session.user_vars plain in
-  let lv_plain = Core.Lazy_view.of_session plain in
-  let lv_flat = Core.Lazy_view.of_session ~flat:fl flat in
-  List.iter
-    (fun q ->
-      let plan = Core.Rewrite.plan_str q in
-      let via_plain =
-        List.map Ordpath.to_string (Core.Rewrite.select ~vars plan lv_plain)
-      in
-      let via_flat =
-        List.map Ordpath.to_string (Core.Rewrite.select ~vars plan lv_flat)
-      in
-      if via_plain <> via_flat then
-        failwith
-          (Printf.sprintf
-             "Rewrite.select on flat lazy view disagrees on %s (%s):\n\
-             \  plain [%s]\n  flat [%s]"
-             q
-             (if Core.Rewrite.compiled plan then "compiled" else "fallback")
-             (String.concat "; " via_plain)
-             (String.concat "; " via_flat)))
-    (Workload.Gen_query.random ~seed ~count:6);
-  (* Incremental maintenance with a flat snapshot of the new source. *)
-  let rng = Prng.create (seed * 13 + 5) in
-  let _, op = random_op rng in
-  match Core.Secure_update.apply plain op with
-  | exception _ -> ()
-  | plain', report ->
-    let source' = Core.Session.source plain' in
-    let flat' =
-      Core.Session.apply_delta
-        ~flat:(F.of_document source')
-        flat source' report.Core.Secure_update.delta
-    in
-    if not (D.equal (Core.Session.view plain') (Core.Session.view flat')) then
-      failwith
-        (Printf.sprintf
-           "apply_delta ~flat differs after %s\n  plain: %s\n  flat: %s"
-           (Format.asprintf "%a" Op.pp op)
-           (Xml_print.facts (Core.Session.view plain'))
-           (Xml_print.facts (Core.Session.view flat')));
+  let same_perms what a b ids =
     List.iter
       (fun privilege ->
         List.iter
           (fun id ->
-            if
-              Core.Session.holds plain' privilege id
-              <> Core.Session.holds flat' privilege id
-            then
+            if a privilege id <> b privilege id then
               failwith
-                (Printf.sprintf "Perm.update ~flat disagrees on %s for %s"
+                (Printf.sprintf "%s disagrees on %s for %s" what
                    (Ordpath.to_string id)
                    (Format.asprintf "%a" Core.Privilege.pp privilege)))
-          (List.map (fun (n : Node.t) -> n.id) (D.nodes source')))
+          ids)
       Core.Privilege.all
+  in
+  (* Permissions: the snapshot resolution against the per-rule loop on
+     the node map. *)
+  same_perms "Perm.compute vs the per-rule loop"
+    (Core.Session.holds session)
+    (Core.Perm.holds (Core.Perm.compute_per_rule policy doc ~user:"u"))
+    ids;
+  (* Views: against axioms 15-17 derived on the node map. *)
+  let oracle =
+    Test_support.View_oracle.derive doc (Core.Session.perm session)
+  in
+  if not (D.equal (Core.Session.view session) oracle) then
+    failwith
+      (Printf.sprintf "View.derive differs from the map derivation\n  \
+                       snapshot: %s\n  map: %s"
+         (Xml_print.facts (Core.Session.view session))
+         (Xml_print.facts oracle));
+  (* The read path over the snapshot-backed lazy view, against the query
+     on the map-derived view. *)
+  let vars = Core.Session.user_vars session in
+  let lv = Core.Lazy_view.of_session fl session in
+  List.iter
+    (fun q ->
+      let plan = Core.Rewrite.plan_str q in
+      let via_lazy =
+        List.map Ordpath.to_string (Core.Rewrite.select ~vars plan lv)
+      in
+      let via_view =
+        List.map Ordpath.to_string (Xpath.Eval.select_str ~vars oracle q)
+      in
+      if via_lazy <> via_view then
+        failwith
+          (Printf.sprintf
+             "Rewrite.select on the lazy view disagrees on %s (%s):\n\
+             \  lazy [%s]\n  view [%s]"
+             q
+             (if Core.Rewrite.compiled plan then "compiled" else "fallback")
+             (String.concat "; " via_lazy)
+             (String.concat "; " via_view)))
+    (Workload.Gen_query.random ~seed ~count:6);
+  (* Incremental maintenance: staged on the node map (Secure_update runs
+     without a snapshot) against the same delta with a snapshot of the
+     new source. *)
+  let rng = Prng.create (seed * 13 + 5) in
+  let _, op = random_op rng in
+  match Core.Secure_update.apply session op with
+  | exception _ -> ()
+  | staged, report ->
+    let source' = Core.Session.source staged in
+    let flat' =
+      Core.Session.apply_delta
+        ~flat:(F.of_document source')
+        session source' report.Core.Secure_update.delta
+    in
+    if not (D.equal (Core.Session.view staged) (Core.Session.view flat')) then
+      failwith
+        (Printf.sprintf
+           "apply_delta ~flat differs after %s\n  staged: %s\n  flat: %s"
+           (Format.asprintf "%a" Op.pp op)
+           (Xml_print.facts (Core.Session.view staged))
+           (Xml_print.facts (Core.Session.view flat')));
+    same_perms "Perm.update ~flat vs staged"
+      (Core.Session.holds staged) (Core.Session.holds flat')
+      (List.map (fun (n : Node.t) -> n.id) (D.nodes source'))
 
 let test_core_wiring () =
   for case = 0 to 39 do
@@ -752,7 +752,7 @@ let test_splice_dead_labels () =
   done
 
 (* The epoch-publishing server: flat-backed logins and broadcasts must
-   serve the same views as fresh map-backed logins (reuses the freshness
+   serve the same views as fresh logins (reuses the freshness
    oracle of test_differential at the Serve level), and every published
    snapshot — spliced along each commit's delta — must equal a fresh
    freeze of the published source. *)
@@ -800,10 +800,7 @@ let test_serve_epochs () =
        (Op.remove "/patients/franck/diagnosis/node()"));
   assert_fresh "removal"
 
-let published serve ~user =
-  match Core.Lazy_view.flat (Core.Serve.lazy_view serve ~user) with
-  | Some fl -> fl
-  | None -> Alcotest.fail "served lazy views carry a snapshot"
+let published serve ~user = Core.Lazy_view.flat (Core.Serve.lazy_view serve ~user)
 
 (* A commit is spliced from the published snapshot only when it was
    staged on the published document.  Here a second commit lands while

@@ -1,8 +1,8 @@
 (* Tests for the lazy (query-filtering) view of §5: every query answered
-   through the virtual source must agree with the materialised view, while
-   touching fewer nodes.  Both representations are checked: the
-   flat-less, memoised one and the snapshot-backed one that reads the
-   visibility oracle. *)
+   through the virtual source over a snapshot and its visibility oracle
+   must agree with the view axioms 15-17 derive on the node map
+   (Test_support.View_oracle), and a rebase must carry the oracle along a
+   commit's delta only while that is cheap. *)
 
 open Xmldoc
 module P = Core.Paper_example
@@ -27,27 +27,27 @@ let queries =
     "//diagnosis/..";
   ]
 
-(* The two representations of one session's lazy view. *)
-let lazy_views session =
-  let flat = Flat.of_document (Core.Session.source session) in
-  [ ("flat-less", Core.Lazy_view.of_session session);
-    ("snapshot", Core.Lazy_view.of_session ~flat session) ]
+(* A user's lazy view over one snapshot of [doc], and the view the node
+   map derives for the same permissions. *)
+let lazy_and_oracle policy doc ~user =
+  let flat = Flat.of_document doc in
+  let session = Core.Session.login ~flat policy doc ~user in
+  ( Core.Lazy_view.of_session flat session,
+    Test_support.View_oracle.derive doc (Core.Session.perm session) )
+
+let paper user = lazy_and_oracle P.policy (P.document ()) ~user
 
 let agree_on_paper_example user =
-  let session = P.login user in
-  let materialized = Core.Session.view session in
+  let lazy_view, view = paper user in
   List.iter
-    (fun (kind, lazy_view) ->
-      List.iter
-        (fun q ->
-          let via_lazy = Core.Lazy_view.select_str lazy_view q in
-          let via_view = Xpath.Eval.select_str materialized q in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s for %s (%s)" q user kind)
-            (List.map Ordpath.to_string via_view)
-            (List.map Ordpath.to_string via_lazy))
-        queries)
-    (lazy_views session)
+    (fun q ->
+      let via_lazy = Core.Lazy_view.select_str lazy_view q in
+      let via_view = Xpath.Eval.select_str view q in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s for %s" q user)
+        (List.map Ordpath.to_string via_view)
+        (List.map Ordpath.to_string via_lazy))
+    queries
 
 let test_agreement_secretary () = agree_on_paper_example P.beaufort
 let test_agreement_patient () = agree_on_paper_example P.robert
@@ -55,111 +55,70 @@ let test_agreement_epidemiologist () = agree_on_paper_example P.richard
 let test_agreement_doctor () = agree_on_paper_example P.laporte
 
 let test_labels_and_visibility () =
-  let session = P.login P.beaufort in
-  let doc = Core.Session.source session in
+  let doc = P.document () in
   let tonsillitis = P.find doc "tonsillitis" in
   let franck = P.find doc "franck" in
-  let robert_session = P.login P.robert in
-  List.iter2
-    (fun (kind, lv) (_, lv2) ->
-      Alcotest.(check (option string)) ("restricted label, " ^ kind)
-        (Some "RESTRICTED")
-        (Core.Lazy_view.label lv tonsillitis);
-      Alcotest.(check (option string)) ("plain label, " ^ kind) (Some "franck")
-        (Core.Lazy_view.label lv franck);
-      Alcotest.(check (option string)) ("document label, " ^ kind) (Some "/")
-        (Core.Lazy_view.label lv Ordpath.document);
-      Alcotest.(check bool) ("franck invisible to robert, " ^ kind) false
-        (Core.Lazy_view.visible lv2 franck);
-      Alcotest.(check (option string)) ("no label for invisible nodes, " ^ kind)
-        None
-        (Core.Lazy_view.label lv2 franck))
-    (lazy_views session) (lazy_views robert_session)
+  let lv, _ = paper P.beaufort and lv2, _ = paper P.robert in
+  Alcotest.(check (option string)) "restricted label" (Some "RESTRICTED")
+    (Core.Lazy_view.label lv tonsillitis);
+  Alcotest.(check (option string)) "plain label" (Some "franck")
+    (Core.Lazy_view.label lv franck);
+  Alcotest.(check (option string)) "document label" (Some "/")
+    (Core.Lazy_view.label lv Ordpath.document);
+  Alcotest.(check bool) "franck invisible to robert" false
+    (Core.Lazy_view.visible lv2 franck);
+  Alcotest.(check (option string)) "no label for invisible nodes" None
+    (Core.Lazy_view.label lv2 franck)
 
 let test_string_values_match () =
   (* string-value seen through the lazy view must match the materialised
      view (RESTRICTED text contributes the masked label). *)
   List.iter
     (fun user ->
-      let session = P.login user in
-      let view = Core.Session.view session in
-      List.iter
-        (fun (kind, lv) ->
-          let src = Core.Lazy_view.source lv in
-          Document.iter
-            (fun (n : Node.t) ->
-              Alcotest.(check string)
-                (Printf.sprintf "string-value of %s for %s (%s)"
-                   (Ordpath.to_string n.id) user kind)
-                (Document.string_value view n.id)
-                (src.Xpath.Source.string_value n.id))
-            view)
-        (lazy_views session))
+      let lv, view = paper user in
+      let src = Core.Lazy_view.source lv in
+      Document.iter
+        (fun (n : Node.t) ->
+          Alcotest.(check string)
+            (Printf.sprintf "string-value of %s for %s"
+               (Ordpath.to_string n.id) user)
+            (Document.string_value view n.id)
+            (src.Xpath.Source.string_value n.id))
+        view)
     [ P.beaufort; P.richard; P.robert ]
-
-let test_materialize_equals_view () =
-  List.iter
-    (fun user ->
-      let session = P.login user in
-      Alcotest.(check bool) (user ^ " materialize") true
-        (Document.equal
-           (Core.Lazy_view.materialize (Core.Lazy_view.of_session session))
-           (Core.Session.view session)))
-    [ P.beaufort; P.laporte; P.richard; P.robert ]
-
-let test_probes_fewer_nodes () =
-  (* A narrow query on a large database must not decide visibility for
-     every node. *)
-  let config = { Workload.Gen_doc.default with patients = 300; seed = 21 } in
-  let doc = Workload.Gen_doc.generate config in
-  let policy = Workload.Gen_policy.hospital config in
-  let session = Core.Session.login policy doc ~user:"laporte" in
-  let lv = Core.Lazy_view.of_session session in
-  let hits = Core.Lazy_view.select_str lv "/patients/*[2]/service" in
-  Alcotest.(check int) "one service" 1 (List.length hits);
-  let probed = Core.Lazy_view.probed_nodes lv in
-  let total = Document.size doc in
-  Alcotest.(check bool)
-    (Printf.sprintf "probed %d of %d nodes" probed total)
-    true
-    (probed < total / 2)
 
 (* The snapshot's visibility oracle survives physically only an empty
    rebase onto the same snapshot; any other local rebase of a view that
-   holds one patches it into fresh bytes, equal to a rebuild. *)
+   holds one patches it into fresh bytes, equal to the map derivation,
+   and leaves the view it started from as it was. *)
 let test_oracle_survival () =
-  let session = P.login P.beaufort in
-  let doc = Core.Session.source session and perm = Core.Session.perm session in
+  let doc = P.document () in
   let flat = Flat.of_document doc in
-  let lv = Core.Lazy_view.create ~flat doc perm in
-  let bytes lv =
-    match Core.Lazy_view.flat_visibility lv with
-    | Some (_, b) -> b
-    | None -> Alcotest.fail "no oracle on a snapshot-backed view"
-  in
+  let perm = Core.Perm.compute P.policy flat ~user:P.beaufort in
+  let lv = Core.Lazy_view.create flat perm in
+  let bytes lv = snd (Core.Lazy_view.flat_visibility lv) in
   let b0 = bytes lv in
-  let lv = Core.Lazy_view.rebase ~flat lv doc perm Core.Delta.empty in
+  let lv = Core.Lazy_view.rebase lv flat perm Core.Delta.empty in
   Alcotest.(check bool) "empty delta, same snapshot: kept" true
     (bytes lv == b0);
   let refrozen = Flat.of_document doc in
-  let lv' =
-    Core.Lazy_view.rebase ~flat:refrozen lv doc perm Core.Delta.empty
-  in
+  let lv' = Core.Lazy_view.rebase lv refrozen perm Core.Delta.empty in
   let b1 = bytes lv' in
   Alcotest.(check bool) "another snapshot: rebuilt" false (b1 == b0);
   Alcotest.(check bool) "rebuilt equal on an equal snapshot" true
     (Bytes.equal b1 b0);
   let lv =
-    Core.Lazy_view.rebase ~flat lv' doc perm
+    Core.Lazy_view.rebase lv' flat perm
       (Core.Delta.of_roots [ P.find doc "franck" ])
   in
   Alcotest.(check bool) "non-empty delta: patched at the rebase" true
     (Option.is_some (Core.Lazy_view.oracle lv));
   Alcotest.(check bool) "non-empty delta: rebuilt" false (bytes lv == b1);
-  Alcotest.(check bool) "the patch equals a rebuild" true
-    (Bytes.equal (bytes lv) (Core.Perm.flat_visibility perm flat));
-  Alcotest.(check int) "the snapshot path never probes the memo" 0
-    (Core.Lazy_view.probed_nodes lv)
+  Alcotest.(check bool) "the patch equals the map derivation" true
+    (Bytes.equal (bytes lv)
+       (Test_support.View_oracle.visibility flat doc perm));
+  Alcotest.(check bool) "the rebased-from view keeps its oracle" true
+    (bytes lv' == b1)
 
 (* A commit along a delta patches a held oracle only while the patch is
    cheap: on a document of some 10k rows a delta covering most of them
@@ -188,10 +147,10 @@ let test_oracle_patch_limit () =
           ~priority:4 ]
   in
   let flat = Flat.of_document doc in
-  let perm = Core.Perm.compute ~flat policy doc ~user:"u" in
+  let perm = Core.Perm.compute policy flat ~user:"u" in
   let held lv = Option.is_some (Core.Lazy_view.oracle lv) in
   let fresh () =
-    let lv = Core.Lazy_view.create ~flat doc perm in
+    let lv = Core.Lazy_view.create flat perm in
     ignore (Core.Lazy_view.flat_visibility lv);
     lv
   in
@@ -201,8 +160,7 @@ let test_oracle_patch_limit () =
     | None -> Alcotest.fail "no root element"
   in
   let lv =
-    Core.Lazy_view.rebase ~flat (fresh ()) doc perm
-      (Core.Delta.of_roots [ root ])
+    Core.Lazy_view.rebase (fresh ()) flat perm (Core.Delta.of_roots [ root ])
   in
   Alcotest.(check bool) "a delta over most rows drops the oracle" false
     (held lv);
@@ -213,12 +171,12 @@ let test_oracle_patch_limit () =
     let delta = Core.Delta.of_roots (Xupdate.Apply.affected_roots outcome) in
     let flat' = Flat.of_document doc' in
     let perm' = Core.Perm.update ~flat:flat' perm policy doc' delta in
-    let lv' = Core.Lazy_view.rebase ~flat:flat' lv doc' perm' delta in
+    let lv' = Core.Lazy_view.rebase lv flat' perm' delta in
     Alcotest.(check bool) (name ^ ": patched") true (held lv');
-    Alcotest.(check bool) (name ^ ": patch = rebuild") true
+    Alcotest.(check bool) (name ^ ": patch = map derivation") true
       (Bytes.equal
-         (snd (Option.get (Core.Lazy_view.flat_visibility lv')))
-         (Core.Perm.flat_visibility perm' flat'))
+         (snd (Core.Lazy_view.flat_visibility lv'))
+         (Test_support.View_oracle.visibility flat' doc' perm'))
   in
   step "relabel" (Xupdate.Op.rename "/*/*[3]" "e2");
   step "insert"
@@ -227,7 +185,7 @@ let test_oracle_patch_limit () =
   step "remove" (Xupdate.Op.remove "/*/*[7]")
 
 (* Every axis of the snapshot-backed source, at every node of the view,
-   answers exactly like the materialised view's own source: same nodes,
+   answers exactly like the map-derived view's own source: same nodes,
    same order, same (remapped) labels.  Hidden nodes are not found. *)
 let test_snapshot_axes () =
   for seed = 0 to 39 do
@@ -241,10 +199,8 @@ let test_snapshot_axes () =
         { Workload.Gen_policy.rules = 4 + (seed mod 6); deny_fraction = 0.3;
           seed }
     in
-    let session = Core.Session.login policy doc ~user:"u" in
-    let view = Core.Session.view session in
-    let flat = Flat.of_document doc in
-    let got = Core.Lazy_view.source (Core.Lazy_view.of_session ~flat session) in
+    let lv, view = lazy_and_oracle policy doc ~user:"u" in
+    let got = Core.Lazy_view.source lv in
     let want = Xpath.Source.of_document view in
     let show ns =
       List.map
@@ -296,11 +252,7 @@ let test_snapshot_axes () =
       :: Document.fold (fun (n : Node.t) acc -> n.label :: acc) doc []
       |> List.sort_uniq String.compare
     in
-    let by_label src l =
-      match src.Xpath.Source.by_label with
-      | Some f -> show (f l)
-      | None -> Alcotest.fail "no label index"
-    in
+    let by_label src l = show (src.Xpath.Source.by_label l) in
     List.iter
       (fun l ->
         Alcotest.(check (list string))
@@ -352,11 +304,8 @@ let prop_lazy_equals_materialized =
         Workload.Gen_policy.random ~paths:rule_paths
           { rules = 8; deny_fraction = 0.4; seed }
       in
-      let session = Core.Session.login policy doc ~user:"u" in
-      let want = Xpath.Eval.select_str (Core.Session.view session) q in
-      List.for_all
-        (fun (_, lv) -> Core.Lazy_view.select_str lv q = want)
-        (lazy_views session))
+      let lv, view = lazy_and_oracle policy doc ~user:"u" in
+      Core.Lazy_view.select_str lv q = Xpath.Eval.select_str view q)
 
 let () =
   Alcotest.run "lazy_view"
@@ -370,13 +319,11 @@ let () =
           Alcotest.test_case "doctor" `Quick test_agreement_doctor;
           Alcotest.test_case "string values" `Quick test_string_values_match;
           Alcotest.test_case "snapshot source axes" `Quick test_snapshot_axes;
-          Alcotest.test_case "materialize" `Quick test_materialize_equals_view;
         ] );
       ( "laziness",
         [
           Alcotest.test_case "labels and visibility" `Quick
             test_labels_and_visibility;
-          Alcotest.test_case "probes fewer nodes" `Quick test_probes_fewer_nodes;
           Alcotest.test_case "oracle survives only empty same-snapshot rebases"
             `Quick test_oracle_survival;
           Alcotest.test_case "oracle patches stay cheap" `Quick

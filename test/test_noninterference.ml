@@ -7,8 +7,7 @@
    View.derive results are Document.equal.  Every read path must then
    answer each query identically on both documents: the served rewrite
    (whichever plan it picks), the scan of the snapshot, the anchored run
-   over the label index, the general evaluator over the snapshot, and
-   the flat-less lazy view.
+   over the label index, and the general evaluator over the snapshot.
 
    The hidden rows change the posting-list lengths the read plan is
    chosen from, so the same query may be anchored on one document and
@@ -165,12 +164,12 @@ let pair policy doc variant =
 (* (path name, answers) for every read path, plus the plan the served
    rewrite picks on this document ([None]: a scan, or a fallback). *)
 let reads policy doc expr =
-  let session = Core.Session.login policy doc ~user in
+  let flat = Flat.of_document doc in
+  let session = Core.Session.login ~flat policy doc ~user in
   let vars = Core.Session.user_vars session in
   let strings = List.map Ordpath.to_string in
   let plan = Core.Rewrite.plan expr in
-  let flat = Flat.of_document doc in
-  let lv = Core.Lazy_view.of_session ~flat session in
+  let lv = Core.Lazy_view.of_session flat session in
   let folds =
     if not (Core.Rewrite.compiled plan) then []
     else
@@ -181,11 +180,7 @@ let reads policy doc expr =
   let paths =
     [ ("served rewrite", strings (Core.Rewrite.select ~vars plan lv));
       ( "evaluator on the snapshot",
-        strings (Core.Lazy_view.select ~vars lv expr) );
-      ( "flat-less lazy view",
-        strings
-          (Core.Rewrite.select ~vars plan
-             (Core.Lazy_view.of_session session)) ) ]
+        strings (Core.Lazy_view.select ~vars lv expr) ) ]
     @ folds
   in
   (paths, Option.map Xpath.Compile.anchor_names (Core.Rewrite.anchor plan flat))

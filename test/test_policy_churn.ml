@@ -148,13 +148,16 @@ let pp_pop = Format.asprintf "%a" Core.Op.pp_policy
 (* (a) Perm.update_policy ≡ Perm.compute, stepwise                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Replays [steps] policy mutations from [policy] on [doc], carrying the
-   incremental store forward; returns the first divergence (or None).
-   Pure in (doc, policy), so shrinking can re-run it. *)
+(* Replays [steps] policy mutations from [policy] on [doc], carrying two
+   incremental stores forward — one re-resolved on the node map (the
+   staging path) and one on a snapshot — and returns the first divergence
+   from a from-scratch [compute] (or None).  Pure in (doc, policy), so
+   shrinking can re-run it. *)
 let churn_divergence ~seed ~steps doc policy =
   let rng = Prng.create (seed * 7 + 1) in
   let next = ref (Core.Policy.next_priority policy) in
-  let rec go rng i policy perm =
+  let flat = Flat.of_document doc in
+  let rec go rng i policy (perm, flat_perm) =
     if i = steps then None
     else
       let rng, pop = random_policy_op rng policy ~next in
@@ -172,21 +175,35 @@ let churn_divergence ~seed ~steps doc policy =
         with Core.Subject.Cycle _ | Core.Subject.Unknown_subject _ -> None
       in
       match policy' with
-      | None -> go rng (i + 1) policy perm
+      | None -> go rng (i + 1) policy (perm, flat_perm)
       | Some policy' ->
         let perm', _delta =
           Core.Perm.update_policy perm ~old_policy:policy policy' doc
         in
-        let scratch = Core.Perm.compute policy' doc ~user:"u" in
-        let got = render_facts perm' doc and want = render_facts scratch doc in
-        if got <> want then
-          Some
-            (Printf.sprintf
-               "step %d (%s): incremental facts diverge\ngot:\n%s\nwant:\n%s"
-               i (pp_pop pop) got want)
-        else go rng (i + 1) policy' perm'
+        let flat_perm', _delta =
+          Core.Perm.update_policy ~flat flat_perm ~old_policy:policy policy'
+            doc
+        in
+        let want = render_facts (Core.Perm.compute policy' flat ~user:"u") doc in
+        let diverges (where, perm) =
+          let got = render_facts perm doc in
+          if got = want then None
+          else
+            Some
+              (Printf.sprintf
+                 "step %d (%s): incremental facts diverge (%s)\ngot:\n%s\n\
+                  want:\n%s"
+                 i (pp_pop pop) where got want)
+        in
+        match
+          List.find_map diverges
+            [ ("node map", perm'); ("snapshot", flat_perm') ]
+        with
+        | Some _ as divergence -> divergence
+        | None -> go rng (i + 1) policy' (perm', flat_perm')
   in
-  go rng 0 policy (Core.Perm.compute policy doc ~user:"u")
+  let perm = Core.Perm.compute policy flat ~user:"u" in
+  go rng 0 policy (perm, perm)
 
 let test_update_policy_equivalence () =
   let cases = 120 in
@@ -212,6 +229,67 @@ let test_update_policy_equivalence () =
       Test_support.Shrink.save ~name:"policy-churn" ~seed msg;
       Alcotest.fail msg
   done
+
+(* Axiom 14 resolves each privilege from that privilege's rules alone:
+   retracting a deny-update rule re-matches the update rules over the
+   nodes it decided and no read or position rule — with Rulestats on, no
+   read or position rule gains a matched count — while the result still
+   equals a from-scratch compute.  On the node map and on a snapshot. *)
+let test_retraction_scope () =
+  let doc =
+    Workload.Gen_doc.generate
+      { Workload.Gen_doc.default with patients = 6; seed = 12 }
+  in
+  let subjects = Core.Subject.of_list [ (Core.Subject.User, "u", []) ] in
+  let open Core.Privilege in
+  let rule d p path priority = Core.Rule.v d p ~path ~subject:"u" ~priority in
+  let policy =
+    Core.Policy.v subjects
+      [ rule Core.Rule.Accept Read "//node()" 1;
+        rule Core.Rule.Deny Read "//diagnosis/node()" 2;
+        rule Core.Rule.Accept Position "//diagnosis/node()" 3;
+        rule Core.Rule.Accept Update "//node()" 4;
+        rule Core.Rule.Deny Update "//diagnosis" 5 ]
+  in
+  let retracted = Core.Policy.revoke policy ~priority:5 in
+  let flat = Flat.of_document doc in
+  let matched () =
+    List.map
+      (fun (r : Obs.Rulestats.report) -> (r.r_key, r.r_matched))
+      (Obs.Rulestats.reports ())
+  in
+  Obs.Rulestats.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Rulestats.set_enabled false;
+      Obs.Rulestats.clear ())
+  @@ fun () ->
+  List.iter
+    (fun (where, flat_opt) ->
+      Obs.Rulestats.clear ();
+      let perm = Core.Perm.compute policy flat ~user:"u" in
+      let before = matched () in
+      let perm', delta =
+        Core.Perm.update_policy ?flat:flat_opt perm ~old_policy:policy
+          retracted doc
+      in
+      let after = matched () in
+      Alcotest.(check bool)
+        (where ^ ": the retraction re-resolved something") false
+        (Core.Delta.is_empty delta);
+      List.iter
+        (fun key ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: rule %d's matched count is unchanged" where key)
+            (List.assoc_opt key before) (List.assoc_opt key after))
+        [ 1; 2; 3 ];
+      Alcotest.(check bool)
+        (where ^ ": the update grant was re-matched") true
+        (List.assoc 4 after > List.assoc 4 before);
+      Alcotest.(check string) (where ^ ": equals a from-scratch compute")
+        (render_facts (Core.Perm.compute retracted flat ~user:"u") doc)
+        (render_facts perm' doc))
+    [ ("node map", None); ("snapshot", Some flat) ]
 
 (* ------------------------------------------------------------------ *)
 (* (b) mixed batches through Txn.commit_ops                            *)
@@ -450,12 +528,8 @@ let test_visibility_survival () =
   Core.Serve.login_many serve users;
   Alcotest.(check int) "three classes" 3 (Core.Serve.classes serve);
   let state user =
-    let bytes =
-      match
-        Core.Lazy_view.flat_visibility (Core.Serve.lazy_view serve ~user)
-      with
-      | Some (_, bytes) -> bytes
-      | None -> Alcotest.fail "served lazy views carry a snapshot"
+    let _, bytes =
+      Core.Lazy_view.flat_visibility (Core.Serve.lazy_view serve ~user)
     in
     (Core.Serve.view serve ~user, bytes)
   in
@@ -736,6 +810,8 @@ let () =
           Alcotest.test_case
             "120 seeded churn sequences: update_policy ≡ compute" `Quick
             test_update_policy_equivalence;
+          Alcotest.test_case "a retraction re-matches only its privilege"
+            `Quick test_retraction_scope;
         ] );
       ( "transactional",
         [

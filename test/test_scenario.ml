@@ -105,15 +105,21 @@ let test_a_day_at_the_hospital () =
   (* 14:00 — audit: the three enforcement paths agree on every view. *)
   List.iter
     (fun user ->
-      let session = login user doc in
+      let flat = Flat.of_document doc in
+      let session = Core.Session.login ~flat policy doc ~user in
       let view = Core.Session.view session in
       let serialize = Xml_print.to_string ~indent:true in
       Alcotest.(check string) (user ^ ": XSLT path agrees")
         (serialize view)
         (serialize (Core.Xslt_enforcer.enforce policy doc ~user));
-      let lv = Core.Lazy_view.of_session session in
+      (* The lazy view shows every source node exactly as the view does:
+         under the same label, or not at all. *)
+      let lv = Core.Lazy_view.of_session flat session in
       Alcotest.(check bool) (user ^ ": lazy path agrees") true
-        (Document.equal view (Core.Lazy_view.materialize lv));
+        (Document.fold
+           (fun (n : Node.t) ok ->
+             ok && Core.Lazy_view.label lv n.id = Document.label view n.id)
+           doc true);
       Alcotest.(check bool) (user ^ ": datalog path agrees") true
         (Core.Logic_encoding.view_parity session))
     [ "beaufort"; "laporte"; "richard"; "robert" ];

@@ -59,9 +59,8 @@ let report_fingerprint (r : Core.Secure_update.report) =
 
 let check_indistinguishable user =
   let doc1 = P.document () in
-  let perm = Core.Perm.compute P.policy doc1 ~user in
-  let doc2 = mutate_invisible doc1 perm "ZZZ-SECRET" in
   let s1 = Core.Session.login P.policy doc1 ~user in
+  let doc2 = mutate_invisible doc1 (Core.Session.perm s1) "ZZZ-SECRET" in
   let s2 = Core.Session.login P.policy doc2 ~user in
   Alcotest.(check string)
     (user ^ ": the two databases present the same view")
@@ -91,7 +90,7 @@ let test_baseline_is_distinguishable () =
      distinguish the two databases, so the mutation is meaningful. *)
   let user = P.beaufort in
   let doc1 = P.document () in
-  let perm = Core.Perm.compute P.policy doc1 ~user in
+  let perm = Core.Perm.compute P.policy (Flat.of_document doc1) ~user in
   let doc2 = mutate_invisible doc1 perm "ZZZ-SECRET" in
   let probe = Xupdate.Op.rename "/patients/*[diagnosis = 'tonsillitis']" "leak" in
   let _, r1 = Baselines.Source_write.apply P.policy doc1 ~user probe in
@@ -109,9 +108,8 @@ let prop_indistinguishability_at_scale =
       let doc1 = Workload.Gen_doc.generate config in
       let policy = Workload.Gen_policy.hospital config in
       let user = "beaufort" in
-      let perm = Core.Perm.compute policy doc1 ~user in
-      let doc2 = mutate_invisible doc1 perm "XXX" in
       let s1 = Core.Session.login policy doc1 ~user in
+      let doc2 = mutate_invisible doc1 (Core.Session.perm s1) "XXX" in
       let s2 = Core.Session.login policy doc2 ~user in
       List.for_all
         (fun op ->

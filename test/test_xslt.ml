@@ -186,9 +186,13 @@ let test_print_reparse () =
 
 (* --- the security processor (§5) ----------------------------------------- *)
 
+let view_of policy d ~user =
+  let flat = Xmldoc.Flat.of_document d in
+  Core.View.derive flat (Core.Perm.compute policy flat ~user)
+
 let check_enforcement user =
   let d = doc () in
-  let via_view = Core.View.derive d (Core.Perm.compute P.policy d ~user) in
+  let via_view = view_of P.policy d ~user in
   let via_xslt = Core.Xslt_enforcer.enforce P.policy d ~user in
   Alcotest.(check string)
     (Printf.sprintf "XSLT enforcement = view for %s" user)
@@ -205,7 +209,7 @@ let test_enforce_hospital_scale () =
   let policy = Workload.Gen_policy.hospital config in
   List.iter
     (fun user ->
-      let via_view = Core.View.derive d (Core.Perm.compute policy d ~user) in
+      let via_view = view_of policy d ~user in
       let via_xslt = Core.Xslt_enforcer.enforce policy d ~user in
       Alcotest.(check string) (user ^ " at scale") (serialize via_view)
         (serialize via_xslt))
@@ -220,7 +224,7 @@ let test_stylesheet_is_document_independent () =
     (fun xml ->
       let d = Xml_parse.of_string xml in
       let via_view =
-        Core.View.derive d (Core.Perm.compute P.policy d ~user:P.beaufort)
+        view_of P.policy d ~user:P.beaufort
       in
       Alcotest.(check string) "same view" (serialize via_view)
         (serialize (Xslt.Engine.apply ~vars sheet d)))
@@ -266,7 +270,7 @@ let prop_enforcement_equals_view =
         Workload.Gen_policy.random ~paths:rule_paths
           { rules = 10; deny_fraction = 0.4; seed }
       in
-      let view = Core.View.derive doc (Core.Perm.compute policy doc ~user:"u") in
+      let view = view_of policy doc ~user:"u" in
       let enforced = Core.Xslt_enforcer.enforce policy doc ~user:"u" in
       String.equal (serialize view) (serialize enforced))
 
