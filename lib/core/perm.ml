@@ -242,12 +242,13 @@ let count_decided stats (stores : Rule.t Dmap.t array) =
           store ())
       stores
 
-(* [node_pusher () acc id rules] prepends [id]'s winning (id, rule) pair
-   onto [acc.(privilege)].  Ids arrive in ascending document order, so the
-   accumulators are descending rev-lists ready for [Dmap.of_rev_list].
-   A node revisited through nested delta roots would emit the same
-   winners; {!Delta.of_roots} guarantees disjoint roots, so ids are in
-   fact unique.
+(* [node_pusher ~rule_of () acc id payloads] prepends [id]'s winning
+   (id, rule) pair onto [acc.(privilege)], among the rules [rule_of] maps
+   the payloads to ([None]: the payload's rule does not apply).  Ids
+   arrive in ascending document order, so the accumulators are descending
+   rev-lists ready for [Dmap.of_rev_list].  A node revisited through
+   nested delta roots would emit the same winners; {!Delta.of_roots}
+   guarantees disjoint roots, so ids are in fact unique.
 
    With [?stats], every node also bumps the matched counter of each
    distinct rule in its payload list.  The distinct-rule list is cached
@@ -255,17 +256,14 @@ let count_decided stats (stores : Rule.t Dmap.t array) =
    matcher hands every node of one state set the same physical list), so
    the per-node telemetry cost is one list walk of already-resolved
    entries — no hashing. *)
-let node_pusher ?stats () =
-  let cache :
-      (Rule.t list * ((int * Rule.t) list * Obs.Rulestats.entry list)) list ref
-      =
-    ref []
-  in
-  fun (acc : (Ordpath.t * Rule.t) list array) id rules ->
+let node_pusher ?stats ~rule_of () =
+  let cache = ref [] in
+  fun (acc : (Ordpath.t * Rule.t) list array) id payloads ->
     let rec lookup = function
-      | (key, w) :: _ when key == rules -> w
+      | (key, w) :: _ when key == payloads -> w
       | _ :: rest -> lookup rest
       | [] ->
+        let rules = List.filter_map rule_of payloads in
         let entries =
           match stats with
           | None -> []
@@ -283,7 +281,7 @@ let node_pusher ?stats () =
               rules
         in
         let w = (winners_of rules, entries) in
-        cache := (rules, w) :: !cache;
+        cache := (payloads, w) :: !cache;
         w
     in
     let winners, entries = lookup !cache in
@@ -368,7 +366,7 @@ let compute policy fl ~user =
    | [] -> ()
    | downward ->
      let matcher = matcher_of_rules downward in
-     let push = node_pusher ?stats () in
+     let push = node_pusher ?stats ~rule_of:Option.some () in
      let f () (n : Xmldoc.Node.t) rules = push acc n.id rules in
      Xpath.Compile.fold_flat matcher fl ~init:() ~f);
   let decisions =
@@ -434,7 +432,36 @@ let profile policy ~user =
    automaton state down the root's ancestor chain.  {!Delta.of_roots}
    yields disjoint roots in document order, so the re-matched stream is
    itself ascending and replaces the affected spans of the sorted stores
-   by splicing. *)
+   by splicing.  A broadcast matches once for every class instead
+   ([match_delta]), and each class picks from that match. *)
+
+(* The subtrees rooted at [roots] as row ranges of [fl]: one shared
+   range run covers them all — {!Delta.of_roots} yields them disjoint
+   and ascending, which is exactly the range fold's contract.  Roots the
+   snapshot lacks (removed nodes) have no rows. *)
+let ranges_of fl roots =
+  List.filter_map
+    (fun root ->
+      Option.map
+        (fun ix -> (ix, Xmldoc.Flat.subtree_end fl ix))
+        (Xmldoc.Flat.find_ix fl root))
+    roots
+
+(* The winners [acc] collected under the roots replace the entries there
+   in the [touched] stores; the other stores are returned as they are. *)
+let splice_winners ?stats t ~touched roots acc =
+  let additions = Array.map Dmap.of_rev_list acc in
+  (* Decided over the re-resolved spans only — the unaffected bulk
+     was already counted when its decisions were first computed. *)
+  count_decided stats additions;
+  let decisions =
+    Array.mapi
+      (fun i base ->
+        if touched.(i) then Dmap.splice base roots additions.(i) else base)
+      t.decisions
+  in
+  { t with decisions }
+
 (* Shared tail of the two incremental paths: re-match the given rules
    over exactly the subtrees rooted at [roots] (one compiled
    sub-traversal per root, re-threading the automaton state down the
@@ -452,38 +479,18 @@ let resplice ?flat t ~touched rules doc roots =
    | [] -> ()
    | rules -> (
      let matcher = matcher_of_rules rules in
-     let push = node_pusher ?stats () in
+     let push = node_pusher ?stats ~rule_of:Option.some () in
      let f () (n : Xmldoc.Node.t) rules = push acc n.id rules in
      match flat with
      | Some fl ->
-       (* One shared run over all the roots — {!Delta.of_roots} yields
-          them disjoint and ascending, which is exactly the range fold's
-          contract. *)
-       let ranges =
-         List.filter_map
-           (fun root ->
-             Option.map
-               (fun ix -> (ix, Xmldoc.Flat.subtree_end fl ix))
-               (Xmldoc.Flat.find_ix fl root))
-           roots
-       in
-       Xpath.Compile.fold_ranges_flat matcher fl ~ranges ~init:() ~f
+       Xpath.Compile.fold_ranges_flat matcher fl ~ranges:(ranges_of fl roots)
+         ~init:() ~f
      | None ->
        List.iter
          (fun root ->
            Xpath.Compile.fold_subtree matcher doc ~root ~init:() ~f)
          roots));
-  let additions = Array.map Dmap.of_rev_list acc in
-  (* Decided over the re-resolved spans only — the unaffected bulk
-     was already counted when its decisions were first computed. *)
-  count_decided stats additions;
-  let decisions =
-    Array.mapi
-      (fun i base ->
-        if touched.(i) then Dmap.splice base roots additions.(i) else base)
-      t.decisions
-  in
-  { t with decisions }
+  splice_winners ?stats t ~touched roots acc
 
 (* A full recompute runs on a snapshot; a staged document that has none
    is frozen for it. *)
@@ -493,15 +500,60 @@ let recompute ?flat policy doc ~user =
   in
   compute policy fl ~user
 
-let update ?flat t policy doc delta =
+(* One commit's delta matched once for every class: the rows of the
+   delta's subtrees that some downward rule of the policy selects, in
+   document order, each with the positions of the rules selecting it.  A
+   row's position list is the automaton's payload list for its state
+   set, so rows of one state set share it physically — what a class's
+   [node_pusher] caches its picks under. *)
+type matched = { index : Policy.index; rows : (Ordpath.t * int list) list }
+
+let match_delta index fl roots =
+  Obs.Trace.with_span "perm.match_delta" @@ fun () ->
+  let rows =
+    match Policy.matcher index with
+    | None -> []
+    | Some matcher ->
+      let f rows (n : Xmldoc.Node.t) payloads = (n.id, payloads) :: rows in
+      List.rev
+        (Xpath.Compile.fold_ranges_flat matcher fl ~ranges:(ranges_of fl roots)
+           ~init:[] ~f)
+  in
+  { index; rows }
+
+(* A class's share of the commit's match: its applicable rules are
+   exactly the positions its bitset holds, so the rows filtered by the
+   bitset are what matching its own rules would have yielded, matched
+   counts included. *)
+let pick_matched t policy m applicable roots =
+  let stats =
+    if Obs.Rulestats.enabled () then
+      stats_index (Policy.rules_for policy ~user:t.user)
+    else None
+  in
+  let acc : (Ordpath.t * Rule.t) list array = Array.make 5 [] in
+  let rule_of i =
+    if Policy.mem applicable i then Some (Policy.rule_at m.index i) else None
+  in
+  let push = node_pusher ?stats ~rule_of () in
+  List.iter (fun (id, payloads) -> push acc id payloads) m.rows;
+  splice_winners ?stats t ~touched:(Array.make 5 true) roots acc
+
+let update ?flat ?matched t policy doc delta =
   match delta with
   | Delta.All -> recompute ?flat policy doc ~user:t.user
   | Delta.Local [] -> t
-  | Delta.Local roots ->
-    let rules = Policy.rules_for policy ~user:t.user in
-    if not (Delta.local_rules rules) then
-      recompute ?flat policy doc ~user:t.user
-    else resplice ?flat t ~touched:(Array.make 5 true) rules doc roots
+  | Delta.Local roots -> (
+    match matched with
+    | Some m when Policy.indexed m.index == policy ->
+      let applicable = Policy.applicable m.index ~user:t.user in
+      if Policy.local applicable then pick_matched t policy m applicable roots
+      else recompute ?flat policy doc ~user:t.user
+    | Some _ | None ->
+      let rules = Policy.rules_for policy ~user:t.user in
+      if not (Delta.local_rules rules) then
+        recompute ?flat policy doc ~user:t.user
+      else resplice ?flat t ~touched:(Array.make 5 true) rules doc roots)
 
 (* Incremental re-resolution under policy churn: the document is
    unchanged, the applicable rule list is not.  A decision can only
@@ -556,7 +608,7 @@ let update_policy ?flat t ~old_policy policy doc =
           ids := n.id :: !ids;
           push acc n.id rules
         in
-        let f = f (node_pusher ?stats ()) in
+        let f = f (node_pusher ?stats ~rule_of:Option.some ()) in
         (match flat with
          | Some fl -> (
            (* The added paths usually name rare labels: the label index
@@ -652,6 +704,9 @@ let update_policy ?flat t ~old_policy policy doc =
 
 let deciding_rule t privilege id =
   Dmap.find_opt id t.decisions.(privilege_index privilege)
+
+let decisions t privilege =
+  Array.to_list t.decisions.(privilege_index privilege)
 
 let holds t privilege id =
   match deciding_rule t privilege id with

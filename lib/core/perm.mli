@@ -39,8 +39,19 @@ val profile : Policy.t -> user:string -> string
     cannot depend on the user.  Users carrying a [$USER] rule have their
     name folded into the signature, i.e. they form singleton classes. *)
 
+type matched
+(** One commit's delta matched once for every permission class. *)
+
+val match_delta : Policy.index -> Xmldoc.Flat.t -> Ordpath.t list -> matched
+(** [match_delta index fl roots] runs the index's downward automaton
+    ({!Policy.matcher}) once over the subtrees rooted at [roots] (a local
+    {!Delta}'s roots) on the snapshot [fl], in one range run, and keeps
+    every row some rule selects with the positions of the rules that
+    select it.  Runs inside a [perm.match_delta] trace span. *)
+
 val update :
-  ?flat:Xmldoc.Flat.t -> t -> Policy.t -> Xmldoc.Document.t -> Delta.t -> t
+  ?flat:Xmldoc.Flat.t -> ?matched:matched ->
+  t -> Policy.t -> Xmldoc.Document.t -> Delta.t -> t
 (** [update t policy doc delta] re-resolves the permissions on the new
     document [doc], re-evaluating rules only for nodes inside [delta]
     (decisions outside an affected subtree cannot have changed when every
@@ -53,7 +64,14 @@ val update :
     [?flat], when given, must be a frozen snapshot of [doc], and every
     traversal runs on it.  Without one — transaction staging, whose
     staged document has no snapshot yet — the delta's subtrees are
-    re-matched on the node map, and a full recompute freezes [doc]. *)
+    re-matched on the node map, and a full recompute freezes [doc].
+
+    [?matched], when given, must be [match_delta index flat roots] for
+    [delta = Local roots] on that snapshot.  If [index] was built from
+    [policy] itself, the user's winners are picked from the matched rows
+    by the user's applicable-rule bitset ({!Policy.applicable}), cached
+    per physical position list, and nothing is matched again; otherwise
+    [?matched] is ignored. *)
 
 val update_policy :
   ?flat:Xmldoc.Flat.t ->
@@ -75,6 +93,10 @@ val update_policy :
     privilege from that privilege's rules alone: only the stores of the
     added and removed rules' privileges are re-matched, and the others
     come back physically unchanged.  [?flat] as for {!update}. *)
+
+val decisions : t -> Privilege.t -> (Ordpath.t * Rule.t) list
+(** The privilege's decision store in document order: every node some
+    applicable rule covers, with the rule that decided it. *)
 
 val holds : t -> Privilege.t -> Ordpath.t -> bool
 (** [perm(user, n, r)]. *)

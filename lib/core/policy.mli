@@ -47,6 +47,46 @@ val next_priority : t -> int
 
 val rules_for : t -> user:string -> Rule.t list
 (** The rules applicable to [user]: those whose subject [s'] satisfies
-    [isa(user, s')], ascending priority. *)
+    [isa(user, s')], ascending priority.  One closure of [user]'s
+    ancestors per call. *)
+
+(** {1 Rule index}
+
+    One policy version's rules as every permission class needs them: a
+    user's applicable rules as a bitset over the rule positions
+    (ascending priority), from one closure of the user's ancestors, and
+    the downward rules compiled into one {!Xpath.Compile} automaton
+    whose payloads are rule positions.  A commit then matches its delta
+    once with the automaton, and each class keeps the matches its bitset
+    holds ({!Perm.match_delta}).  Building one costs the rules, not the
+    subject hierarchy.  An index never changes once built, so domains
+    may share it; build it once per policy version. *)
+
+type index
+
+type applicable
+(** One subject's applicable rules. *)
+
+val index : t -> index
+
+val indexed : index -> t
+(** The policy the index was built from (physically). *)
+
+val matcher : index -> int Xpath.Compile.t option
+(** The policy's downward rules in one automaton; a payload is the rule's
+    position ({!rule_at}).  [None] when no rule is downward. *)
+
+val rule_at : index -> int -> Rule.t
+(** The rule at a position: positions count {!rules} from [0]. *)
+
+val applicable : index -> user:string -> applicable
+(** [user]'s applicable rules — the positions of {!rules_for}, from one
+    ancestor closure. *)
+
+val mem : applicable -> int -> bool
+(** Does the rule at this position apply? *)
+
+val local : applicable -> bool
+(** Are all the applicable rules downward ({!Delta.local_rules})? *)
 
 val pp : Format.formatter -> t -> unit

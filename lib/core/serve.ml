@@ -23,6 +23,9 @@ type t = {
       (* the current policy; rewritten (under the lock, together with the
          class table re-key) by every committed batch that carries policy
          ops *)
+  mutable index : Policy.index;
+      (* [policy]'s rule index, rebuilt with it under the lock; an index
+         never changes, so pool workers share it *)
   mutable clock : int;
       (* administration timestamp allocator (paper §4.3: priorities ARE
          timestamps).  Monotonic and never reused, even across retracts
@@ -145,6 +148,7 @@ let create ?pool ?persist policy source =
   let pool = match pool with Some p -> p | None -> Pool.of_env () in
   {
     policy;
+    index = Policy.index policy;
     clock = Policy.next_priority policy;
     source;
     flat = freeze source;
@@ -422,13 +426,13 @@ let query t ~user q =
       Obs.Audit.Allowed;
   ids
 
-let rebase_class ?slot ?txn ~flat source delta cls =
+let rebase_class ?slot ?txn ?matched ~flat source delta cls =
   Obs.Metrics.inc m_fanout;
   Obs.Trace.with_span "session.rebase" @@ fun () ->
   (match slot with
    | Some slot -> Obs.Trace.annotate "domain" (string_of_int slot)
    | None -> ());
-  let session = Session.apply_delta ~flat cls.rep source delta in
+  let session = Session.apply_delta ~flat ?matched cls.rep source delta in
   Obs.Trace.annotate "user" (Session.user session);
   (* apply_delta widens internally for non-local sessions; the lazy view
      must be widened the same way, as its oracle depends on the same
@@ -484,8 +488,9 @@ type committed = {
        pure, so an old class that feeds several new profiles (a split)
        donates to each of them.
 
-   Group builds are pure and run on the pool, like login fan-outs. *)
-let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
+   Group builds are pure and run on the pool, like login fan-outs.
+   [matched] is the document delta matched under the old policy. *)
+let rekey t ~txn ~flat ~source ~delta ~matched ~policy ~writer ~writer_cls
     ~writer_pdelta =
   Obs.Trace.with_span "serve.rekey" @@ fun () ->
   let entries =
@@ -553,7 +558,7 @@ let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
         let rep = Session.impersonate old0.rep ~user:user0 in
         let rep =
           Obs.Trace.with_span "session.rebase" (fun () ->
-              Session.apply_delta ~flat rep source delta)
+              Session.apply_delta ~flat ?matched rep source delta)
         in
         let rep', pdelta =
           Obs.Trace.with_span "session.rekey" (fun () ->
@@ -623,8 +628,18 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
   Obs.Events.with_txn txn @@ fun () ->
   let e = entry t ~user in
   let staged_on = Session.source e.cls.rep in
+  let published, published_flat, index =
+    locked t (fun () -> (t.source, t.flat, t.index))
+  in
+  (* Policy ops stage on the published snapshot while the staged
+     document is still the published one. *)
+  let staging_flat =
+    if staged_on == published then Some published_flat else None
+  in
   match
-    Txn.commit_ops ~on_denial ?admin (Session.impersonate e.cls.rep ~user) ops
+    Txn.commit_ops ~on_denial ?admin ?flat:staging_flat
+      (Session.impersonate e.cls.rep ~user)
+      ops
   with
   | Error _ as err -> err
   | Ok
@@ -664,17 +679,26 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
         t.writes <- t.writes + List.length reports;
         if c.Txn.policy_changed then begin
           t.policy <- c.Txn.policy;
+          t.index <- Policy.index c.Txn.policy;
           t.clock <- max t.clock (Policy.next_priority c.Txn.policy)
         end);
     Obs.Metrics.add m_updates (List.length reports);
+    (* The other classes' document rebases share one match of the delta
+       under the policy they hold, on the new snapshot. *)
+    let match_delta () =
+      match delta with
+      | Delta.Local (_ :: _ as roots) ->
+        Some (Perm.match_delta index flat' roots)
+      | Delta.Local [] | Delta.All -> None
+    in
     if c.Txn.policy_changed then
       (* The rekey subsumes both the writer-class rebase and the
          broadcast: every class is regrouped and rebased exactly once
          against the new (document, policy) epoch. *)
       Obs.Metrics.time h_broadcast (fun () ->
           rekey t ~txn:(Some txn) ~flat:flat' ~source:source' ~delta
-            ~policy:c.Txn.policy ~writer:session' ~writer_cls:e.cls
-            ~writer_pdelta:c.Txn.policy_delta)
+            ~matched:(match_delta ()) ~policy:c.Txn.policy ~writer:session'
+            ~writer_cls:e.cls ~writer_pdelta:c.Txn.policy_delta)
     else begin
       (* The writer's class is already rebased by the transaction (the
          staged session shares the class's decision profile); its lazy
@@ -712,10 +736,12 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
                 Obs.Trace.annotate "pool" (string_of_int (Pool.size t.pool));
                 Obs.Events.emit
                   (Obs.Events.Broadcast { sessions = List.length others });
+                let matched = if others = [] then None else match_delta () in
                 Pool.run t.pool
                   (List.map
                      (fun cls slot ->
-                       rebase_class ~slot ~txn ~flat:flat' source' delta cls)
+                       rebase_class ~slot ~txn ?matched ~flat:flat' source'
+                         delta cls)
                      others)))
     end;
     let seconds = Obs.Mono.now () -. t0 in

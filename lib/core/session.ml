@@ -195,7 +195,7 @@ let apply_policy ?(quiet = false) ?flat t policy =
       ({ t with policy; perm; view; local }, delta)
   end
 
-let apply_delta ?(quiet = false) ?flat t source delta =
+let apply_delta ?(quiet = false) ?flat ?matched t source delta =
   let count c = if not quiet then Obs.Metrics.inc c in
   (match delta with
    | Delta.All -> ()
@@ -212,7 +212,7 @@ let apply_delta ?(quiet = false) ?flat t source delta =
         Obs.Trace.annotate "user" t.user;
         let perm =
           Obs.Trace.with_span "perm.update" (fun () ->
-              Perm.update ?flat t.perm t.policy source delta)
+              Perm.update ?flat ?matched t.perm t.policy source delta)
         in
         let view =
           Obs.Trace.with_span "view.patch" (fun () ->

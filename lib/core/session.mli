@@ -52,7 +52,8 @@ val refresh : ?quiet:bool -> ?flat:Xmldoc.Flat.t -> t -> Xmldoc.Document.t -> t
     has one, otherwise one frozen here. *)
 
 val apply_delta :
-  ?quiet:bool -> ?flat:Xmldoc.Flat.t -> t -> Xmldoc.Document.t -> Delta.t -> t
+  ?quiet:bool -> ?flat:Xmldoc.Flat.t -> ?matched:Perm.matched ->
+  t -> Xmldoc.Document.t -> Delta.t -> t
 (** [apply_delta t source delta] rebases the session onto the updated
     source, re-resolving permissions ({!Perm.update}) and re-deriving the
     view ({!View.patch}) only inside the affected range.  Equivalent to
@@ -61,7 +62,9 @@ val apply_delta :
     (see {!policy_local}) silently widen the delta and pay the full
     {!refresh}.  [?flat], when given, must be a frozen snapshot of the
     new source; without one (transaction staging) the range is
-    re-resolved on the node map, and only a full {!refresh} freezes. *)
+    re-resolved on the node map, and only a full {!refresh} freezes.
+    [?matched] is the commit's shared rule match of [delta] on [?flat]
+    ({!Perm.match_delta}), which {!Perm.update} then picks from. *)
 
 val apply_policy :
   ?quiet:bool -> ?flat:Xmldoc.Flat.t -> t -> Policy.t -> t * Delta.t

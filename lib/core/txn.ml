@@ -191,7 +191,7 @@ let structural_check ~input ~delta staged =
   if violations = [] then Atomic.set last_valid (Some staged);
   violations
 
-let commit_ops ?(on_denial = `Abort) ?validate ?admin session ops =
+let commit_ops ?(on_denial = `Abort) ?validate ?admin ?flat session ops =
   Obs.Trace.with_span "txn.commit" @@ fun () ->
   Obs.Trace.annotate "user" (Session.user session);
   Obs.Trace.annotate "ops" (string_of_int (List.length ops));
@@ -210,6 +210,7 @@ let commit_ops ?(on_denial = `Abort) ?validate ?admin session ops =
        { user = Session.user session; ops = List.length ops });
   let t0 = Obs.Mono.now () in
   let issuer = Session.user session in
+  let input = Session.source session in
   let defer = Queue.create () in
   let abort err =
     Obs.Trace.annotate "outcome" "aborted";
@@ -265,9 +266,12 @@ let commit_ops ?(on_denial = `Abort) ?validate ?admin session ops =
         match apply_policy_op (Session.policy session) pop with
         | Error reason -> deny reason
         | Ok policy' ->
+          (* The input's snapshot describes the staged document until a
+             document op replaces it. *)
+          let flat = if Session.source session == input then flat else None in
           let session', d =
             Obs.Trace.with_span "txn.stage_policy" (fun () ->
-                Session.apply_policy ~quiet:true session policy')
+                Session.apply_policy ~quiet:true ?flat session policy')
           in
           Obs.Events.emit
             (Obs.Events.Policy_stage { index = i; op = Op.policy_kind pop });
@@ -284,8 +288,7 @@ let commit_ops ?(on_denial = `Abort) ?validate ?admin session ops =
           let staged = Session.source session' in
           match validate with
           | Some validate -> validate staged
-          | None ->
-            structural_check ~input:(Session.source session) ~delta staged)
+          | None -> structural_check ~input ~delta staged)
     with
     | exception exn ->
       abort (Invalid { reports; violations = [ Printexc.to_string exn ] })
@@ -381,17 +384,38 @@ let recover policy dir =
   Obs.Trace.with_span "txn.recover" @@ fun () ->
   let sessions : (string, Session.t) Hashtbl.t = Hashtbl.create 8 in
   let current = ref policy in
+  (* The last replayed document a login froze, with its snapshot: a
+     policy-only batch leaves the document physically unchanged, so the
+     next first-seen user's login reuses the snapshot. *)
+  let frozen = ref None in
+  let snapshot_of doc =
+    match !frozen with
+    | Some (d, fl) when d == doc -> Some fl
+    | Some _ | None -> None
+  in
   let replay doc ~user ~mode jops =
     let ops = List.map Op.of_journal jops in
     let session =
       match Hashtbl.find_opt sessions user with
       | Some s -> s
-      | None -> Session.login !current doc ~user
+      | None ->
+        let flat =
+          match snapshot_of doc with
+          | Some fl -> fl
+          | None ->
+            let fl = Xmldoc.Flat.of_document doc in
+            frozen := Some (doc, fl);
+            fl
+        in
+        Session.login ~flat !current doc ~user
     in
     let on_denial =
       match mode with `Atomic -> `Abort | `Tolerant -> `Tolerate
     in
-    match commit_ops ~on_denial session ops with
+    match
+      commit_ops ~on_denial ?flat:(snapshot_of (Session.source session))
+        session ops
+    with
     | Error err ->
       raise
         (Store.Error

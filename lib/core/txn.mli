@@ -74,6 +74,7 @@ val commit_ops :
   ?on_denial:[ `Abort | `Tolerate ] ->
   ?validate:(Xmldoc.Document.t -> string list) ->
   ?admin:Admin.t ->
+  ?flat:Xmldoc.Flat.t ->
   Session.t -> Op.t list ->
   (committed, error) result
 (** [commit_ops session ops] stages, validates and commits a mixed
@@ -107,7 +108,13 @@ val commit_ops :
     batch that left the document untouched checks nothing.  Any other
     input — the first batch after start, a store built by hand — gets the
     full check, so no commit publishes a document the full check
-    rejects. *)
+    rejects.
+
+    [flat], when given, must be a frozen snapshot of the session's
+    source.  Policy ops staged while the staged document is still
+    physically that source re-resolve on it
+    ([Session.apply_policy ~flat]); later ones, after a document op,
+    re-resolve on the node map. *)
 
 val commit :
   ?on_denial:[ `Abort | `Tolerate ] ->

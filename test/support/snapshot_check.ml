@@ -60,15 +60,55 @@ let first_difference a b =
   let rec go i = if i < n && Bytes.get a i = Bytes.get b i then go (i + 1) else i in
   go 0
 
+(* Entry for entry: the same nodes in the same order, each decided by
+   the same rule. *)
+let check_decisions what ~user ~expected got =
+  List.iter
+    (fun privilege ->
+      let rec go i = function
+        | [], [] -> ()
+        | (id, (r : Core.Rule.t)) :: rest, (id', (r' : Core.Rule.t)) :: rest'
+          when Ordpath.equal id id' && Core.Rule.equal r r' ->
+          go (i + 1) (rest, rest')
+        | want, held ->
+          let show = function
+            | (id, r) :: _ ->
+              Format.asprintf "%s by %a" (Ordpath.to_string id) Core.Rule.pp r
+            | [] -> "nothing"
+          in
+          failwith
+            (Printf.sprintf "%s: %s's %s store differs from Perm.compute at \
+                             entry %d: holds %s, expected %s"
+               what user (Core.Privilege.to_string privilege) i (show held)
+               (show want))
+      in
+      go 0
+        ( Core.Perm.decisions expected privilege,
+          Core.Perm.decisions got privilege ))
+    Core.Privilege.all
+
 let check_served what serve =
   let source = Core.Serve.source serve in
+  let policy = Core.Serve.policy serve in
   let expected = F.of_document source in
+  (* One compute per class: users of one profile share their stores. *)
+  let computed = Hashtbl.create 8 in
   List.iter
     (fun user ->
       let lv = Core.Serve.lazy_view serve ~user in
       let got = Core.Lazy_view.flat lv in
       check (Printf.sprintf "%s, %s's snapshot" what user) source ~expected ~got;
       let perm = Core.Session.perm (Core.Serve.session serve ~user) in
+      let profile = Core.Perm.profile policy ~user in
+      let want =
+        match Hashtbl.find_opt computed profile with
+        | Some want -> want
+        | None ->
+          let want = Core.Perm.compute policy expected ~user in
+          Hashtbl.add computed profile want;
+          want
+      in
+      check_decisions what ~user ~expected:want perm;
       let differ name held want =
         if not (Bytes.equal held want) then begin
           let i = first_difference held want in

@@ -26,5 +26,7 @@ val check_served : string -> Core.Serve.t -> unit
     built by a read, or patched by a rebase) equals
     {!Core.Perm.flat_visibility} of the user's permissions on that
     snapshot, byte for byte, which in turn equals the oracle the map
-    derivation implies ({!View_oracle.visibility}).
+    derivation implies ({!View_oracle.visibility}).  Every user's five
+    decision stores equal {!Core.Perm.compute} under the served policy
+    on that snapshot, entry for entry, each decided by the same rule.
     @raise Failure as {!check}. *)

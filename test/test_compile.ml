@@ -11,7 +11,10 @@
        resuming from the affected root's ancestor state) ≡ a fresh
        compute on the new document;
    (d) a Serve with a size-4 pool answers bit-for-bit like a size-1
-       (sequential) Serve across a random write workload.
+       (sequential) Serve across a random write workload;
+   (e) Perm.update picking from one shared match of the policy's
+       automaton ≡ each class re-matching its own rules, rule statistics
+       included.
 
    Every case derives from a seeded PRNG; failures print the seed. *)
 
@@ -262,6 +265,79 @@ let test_update_vs_recompute () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* (e) one shared match per commit ≡ each class matching its own rules  *)
+(* ------------------------------------------------------------------ *)
+
+(* The policy's automaton runs once over the write's delta, and each of
+   three subjects with different applicable rules picks its winners by
+   its bitset: the stores must equal a fresh compute and the per-class
+   re-match, and the rule statistics must count the same matches and
+   decisions as the per-class re-match does. *)
+let test_shared_match () =
+  let was = Obs.Rulestats.enabled () in
+  Obs.Rulestats.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Rulestats.clear ();
+      Obs.Rulestats.set_enabled was)
+  @@ fun () ->
+  let counted f =
+    Obs.Rulestats.clear ();
+    let perm = f () in
+    ( perm,
+      List.map
+        (fun (r : Obs.Rulestats.report) -> (r.r_key, r.r_matched, r.r_decided))
+        (Obs.Rulestats.reports ()) )
+  in
+  let matched_cases = ref 0 in
+  for case = 0 to 59 do
+    let seed = base_seed + 4000 + case in
+    let rng = Prng.create seed in
+    let rng, doc = random_doc rng seed in
+    let rng, rules = Prng.int rng 8 in
+    let policy =
+      Workload.Gen_policy.random ~paths:local_rule_paths
+        { Workload.Gen_policy.rules = rules + 4; deny_fraction = 0.3; seed }
+    in
+    let _, op = random_op rng in
+    match Xupdate.Apply.apply doc op with
+    | exception Xpath.Eval.Error _ -> ()
+    | outcome -> (
+      let doc' = outcome.Xupdate.Apply.doc in
+      match Core.Delta.of_roots (Xupdate.Apply.affected_roots outcome) with
+      | Core.Delta.All | Core.Delta.Local [] -> ()
+      | Core.Delta.Local roots as delta ->
+        incr matched_cases;
+        let fl = Flat.of_document doc and fl' = Flat.of_document doc' in
+        let matched =
+          Core.Perm.match_delta (Core.Policy.index policy) fl' roots
+        in
+        List.iter
+          (fun user ->
+            let what =
+              Printf.sprintf "seed %d, %s after %s" seed user
+                (Format.asprintf "%a" Op.pp op)
+            in
+            let base = Core.Perm.compute policy fl ~user in
+            let shared, shared_counts =
+              counted (fun () ->
+                  Core.Perm.update ~flat:fl' ~matched base policy doc' delta)
+            in
+            let own, own_counts =
+              counted (fun () ->
+                  Core.Perm.update ~flat:fl' base policy doc' delta)
+            in
+            check_perm_equal ~what doc' shared
+              (Core.Perm.compute policy fl' ~user);
+            check_perm_equal ~what doc' shared own;
+            Alcotest.(check (list (triple int int int)))
+              (what ^ ": rule statistics") own_counts shared_counts)
+          [ "r1"; "r2"; "u" ])
+  done;
+  Alcotest.(check bool) "most writes changed something" true
+    (!matched_cases > 30)
+
+(* ------------------------------------------------------------------ *)
 (* (d) pool 4 ≡ pool 1 (sequential), bit for bit                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -331,6 +407,8 @@ let () =
             test_perm_vs_reference;
           Alcotest.test_case "delta update ≡ fresh compute" `Quick
             test_update_vs_recompute;
+          Alcotest.test_case "shared delta match ≡ per-class match" `Quick
+            test_shared_match;
         ] );
       ( "pool",
         [

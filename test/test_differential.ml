@@ -671,6 +671,133 @@ let test_serve_oracle_patches () =
     (docs [ Op.rename "/patients" "patients" ])
     ~patched:true
 
+(* The fanout_1k shape in small: nine one-user classes, each hiding one
+   patient's visits with a downward deny of its own, beside a patient
+   whose $USER rule makes the class non-local (widened on every document
+   commit).  Multi-op batches come from writers in different classes,
+   with a mixed and a policy-only commit between document commits.  One
+   server fans out sequentially and one on four domains; after every
+   commit each server's decision stores must equal a fresh compute
+   (Snapshot_check.check_served), and the two servers must hold the
+   same stores. *)
+let test_serve_fanout_classes () =
+  let config =
+    { Workload.Gen_doc.patients = 12; visits_per_patient = 2;
+      diagnosed_fraction = 0.8; seed = 53 }
+  in
+  let doc = Workload.Gen_doc.generate config in
+  let patients = Array.of_list (Workload.Gen_doc.patient_names config) in
+  let staff = List.init 9 (Printf.sprintf "w%d") in
+  let patient = patients.(0) in
+  let policy =
+    let open Core.Privilege in
+    let rule d p path subject priority =
+      Core.Rule.v d p ~path ~subject ~priority
+    in
+    Core.Policy.v
+      (Core.Subject.of_list
+         ((Core.Subject.Role, "staff", [])
+          :: (Core.Subject.Role, "patient", [])
+          :: (Core.Subject.User, patient, [ "patient" ])
+          :: List.map (fun u -> (Core.Subject.User, u, [ "staff" ])) staff))
+      ([ rule Core.Rule.Accept Read "//node()" "staff" 1;
+         rule Core.Rule.Deny Read "//diagnosis/node()" "staff" 2;
+         rule Core.Rule.Accept Position "//diagnosis/node()" "staff" 3;
+         rule Core.Rule.Accept Update "//node()" "staff" 4;
+         rule Core.Rule.Accept Insert "//node()" "staff" 5;
+         rule Core.Rule.Accept Delete "//visit" "staff" 6;
+         rule Core.Rule.Accept Read "/patients" "patient" 7;
+         rule Core.Rule.Accept Read
+           "/patients/*[name() = $USER]/descendant-or-self::node()" "patient"
+           8 ]
+       @ List.mapi
+           (fun i u ->
+             rule Core.Rule.Deny Read
+               (Printf.sprintf "//%s/visit" patients.(i + 1))
+               u (10 + i))
+           staff)
+  in
+  let users = patient :: staff in
+  let serve pool =
+    let serve = Core.Serve.create ~pool policy doc in
+    Core.Serve.login_many serve users;
+    serve
+  in
+  let seq = serve (Core.Pool.create 1) and par = serve (Core.Pool.create 4) in
+  Alcotest.(check int) "one class per user" (List.length users)
+    (Core.Serve.classes seq);
+  let docs = List.map (fun op -> Core.Op.Doc op) in
+  let batches serve =
+    let deny path subject =
+      Core.Op.Policy
+        (Core.Op.Add_rule
+           (Core.Rule.deny Core.Privilege.Read ~path ~subject
+              ~priority:(Core.Serve.fresh_priority serve)))
+    in
+    [ ( "w0",
+        docs
+          [ Op.update "/patients/*[1]/service" "oncology";
+            Op.update "/patients/*[2]/service" "surgery";
+            Op.append "/patients/*[3]" (Tree.element "note" [ Tree.text "x" ]);
+            Op.update "/patients/*[4]/service" "radiology" ] );
+      ( "w4",
+        docs
+          [ Op.remove "/patients/*[5]/visit[1]";
+            Op.insert_after "/patients/*[2]"
+              (Tree.element "aaron"
+                 [ Tree.element "service" [ Tree.text "surgery" ];
+                   Tree.element "visit" [ Tree.text "new" ] ]);
+            Op.update "/patients/*[10]/service" "cardiology" ] );
+      ( "w7",
+        [ Core.Op.Doc
+            (Op.append "/patients/*[11]/visit[1]"
+               (Tree.element "note" [ Tree.text "late" ]));
+          deny "//aaron/service" "w2";
+          deny "//visit/note" "staff";
+          Core.Op.Doc (Op.update "/patients/*[12]/service" "oncology") ] );
+      ("w1", [ deny "//note" "w3" ]);
+      ( "w2",
+        docs
+          [ Op.update "/patients/*[6]/service" "neurology";
+            Op.rename "/patients/*[7]" "anonymous";
+            Op.remove "/patients/*[8]/visit[2]" ] );
+      ( "w8",
+        docs
+          [ Op.append "/patients/*[1]/visit[1]"
+              (Tree.element "note" [ Tree.text "follow-up" ]);
+            Op.update "/patients/*[9]/service" "pediatrics" ] ) ]
+  in
+  let store serve user =
+    let perm = Core.Session.perm (Core.Serve.session serve ~user) in
+    List.map
+      (fun privilege ->
+        List.map
+          (fun (id, (r : Core.Rule.t)) -> (Ordpath.to_string id, r.priority))
+          (Core.Perm.decisions perm privilege))
+      Core.Privilege.all
+  in
+  List.iter2
+    (fun (writer, ops_seq) (_, ops_par) ->
+      let commit serve ops =
+        read_all serve;
+        match Core.Serve.commit_ops serve ~user:writer ops with
+        | Ok _ -> ()
+        | Error e ->
+          Alcotest.failf "%s's batch: %s" writer (Core.Txn.error_to_string e)
+      in
+      commit seq ops_seq;
+      commit par ops_par;
+      let what = Printf.sprintf "after %s's batch" writer in
+      Test_support.Snapshot_check.check_served (what ^ ", pool 1") seq;
+      Test_support.Snapshot_check.check_served (what ^ ", pool 4") par;
+      List.iter
+        (fun user ->
+          Alcotest.(check (list (list (pair string int))))
+            (Printf.sprintf "%s: %s's stores, pool 1 = pool 4" what user)
+            (store seq user) (store par user))
+        users)
+    (batches seq) (batches par)
+
 let () =
   Alcotest.run "differential"
     [
@@ -699,5 +826,7 @@ let () =
             test_serve_random_traffic;
           Alcotest.test_case "oracle patches equal rebuilds" `Quick
             test_serve_oracle_patches;
+          Alcotest.test_case "one-user classes, pool 1 = pool 4" `Quick
+            test_serve_fanout_classes;
         ] );
     ]

@@ -239,6 +239,120 @@ let test_rules_for_closure () =
   let for_robert = Core.Policy.rules_for P.policy ~user:P.robert in
   Alcotest.(check int) "patients get rules 4-5" 2 (List.length for_robert)
 
+(* The rule index against the per-rule closure it replaces.  Seeded
+   hierarchies of four levels (three roles, four roles below them, four
+   below those, eight users at the bottom), each subject isa one or two
+   subjects of any level above it, which makes diamonds; thirty rules
+   over every subject, some with predicates or $USER.  After the build
+   and after each of twelve add_isa/remove_isa edits, every subject's
+   indexed rules, its rules_for list and its profile equal what the
+   per-rule [Subject.isa] filter gives. *)
+let test_rule_index () =
+  let module Prng = Workload.Prng in
+  let paths =
+    [ "//node()"; "/patients/*"; "//diagnosis/node()"; "//visit";
+      "//service/text()"; "//visit[@n = 1]";
+      "/patients/*[name() = $USER]/descendant-or-self::node()" ]
+  in
+  let prios = List.map (fun (r : Core.Rule.t) -> r.priority) in
+  let check what policy =
+    let subjects = Core.Policy.subjects policy in
+    let index = Core.Policy.index policy in
+    List.iter
+      (fun user ->
+        let what = Printf.sprintf "%s, %s" what user in
+        let want =
+          List.filter
+            (fun (r : Core.Rule.t) -> Core.Subject.isa subjects user r.subject)
+            (Core.Policy.rules policy)
+        in
+        let applicable = Core.Policy.applicable index ~user in
+        let indexed =
+          List.filteri
+            (fun i r ->
+              if Core.Policy.rule_at index i != r then
+                Alcotest.failf "%s: rule_at %d is not the policy's rule" what i;
+              Core.Policy.mem applicable i)
+            (Core.Policy.rules policy)
+        in
+        Alcotest.(check (list int)) (what ^ ": indexed rules") (prios want)
+          (prios indexed);
+        Alcotest.(check (list int)) (what ^ ": rules_for") (prios want)
+          (prios (Core.Policy.rules_for policy ~user));
+        Alcotest.(check bool) (what ^ ": local")
+          (Core.Delta.local_rules want)
+          (Core.Policy.local applicable);
+        let profile =
+          String.concat "" (List.map (Printf.sprintf "%d;") (prios want))
+          ^
+          if List.exists Core.Rule.uses_user_variable want then "$" ^ user
+          else ""
+        in
+        Alcotest.(check string) (what ^ ": profile") profile
+          (Core.Perm.profile policy ~user))
+      ("nobody" :: Core.Subject.subjects subjects)
+  in
+  for case = 0 to 39 do
+    let seed = 7100 + case in
+    let rng = ref (Prng.create seed) in
+    let draw f =
+      let r, x = f !rng in
+      rng := r;
+      x
+    in
+    let levels =
+      [| List.init 3 (Printf.sprintf "a%d");
+         List.init 4 (Printf.sprintf "b%d");
+         List.init 4 (Printf.sprintf "c%d");
+         List.init 8 (Printf.sprintf "u%d") |]
+    in
+    let above l = List.concat (Array.to_list (Array.sub levels 0 l)) in
+    let subjects =
+      Array.to_list levels
+      |> List.mapi (fun l names ->
+             List.map
+               (fun name ->
+                 let kind =
+                   if l = 3 then Core.Subject.User else Core.Subject.Role
+                 in
+                 let supers =
+                   if l = 0 then []
+                   else
+                     List.sort_uniq String.compare
+                       (List.init
+                          (1 + draw (fun r -> Prng.int r 2))
+                          (fun _ -> draw (fun r -> Prng.pick r (above l))))
+                 in
+                 (kind, name, supers))
+               names)
+      |> List.concat |> Core.Subject.of_list
+    in
+    let all = Core.Subject.subjects subjects in
+    let rules =
+      List.init 30 (fun i ->
+          Core.Rule.v
+            (if draw (fun r -> Prng.bool r 0.3) then Core.Rule.Deny
+             else Core.Rule.Accept)
+            (draw (fun r -> Prng.pick r Core.Privilege.all))
+            ~path:(draw (fun r -> Prng.pick r paths))
+            ~subject:(draw (fun r -> Prng.pick r all))
+            ~priority:(i + 1))
+    in
+    let policy = ref (Core.Policy.v subjects rules) in
+    check (Printf.sprintf "seed %d" seed) !policy;
+    for edit = 1 to 12 do
+      let l = 1 + draw (fun r -> Prng.int r 3) in
+      let sub = draw (fun r -> Prng.pick r levels.(l)) in
+      let super = draw (fun r -> Prng.pick r (above l)) in
+      let subjects = Core.Policy.subjects !policy in
+      policy :=
+        if Core.Subject.has_isa_edge subjects ~sub ~super then
+          Core.Policy.remove_isa !policy ~sub ~super
+        else Core.Policy.add_isa !policy ~sub ~super;
+      check (Printf.sprintf "seed %d, edit %d" seed edit) !policy
+    done
+  done
+
 let test_view_of_user_without_rules () =
   let subjects = Core.Subject.of_list [ (Core.Subject.User, "ghost", []) ] in
   let policy = Core.Policy.v subjects [] in
@@ -348,6 +462,8 @@ let () =
         [
           Alcotest.test_case "policy revoke" `Quick test_policy_revoke;
           Alcotest.test_case "rules_for closure" `Quick test_rules_for_closure;
+          Alcotest.test_case "rule index = per-rule closure" `Quick
+            test_rule_index;
           Alcotest.test_case "no-rule user" `Quick test_view_of_user_without_rules;
           Alcotest.test_case "rule on document node" `Quick
             test_rule_on_document_node;

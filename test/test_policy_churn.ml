@@ -802,6 +802,68 @@ let test_mixed_recovery_every_prefix () =
   check_visibility ~p:(String.length bytes) r.Core.Txn.doc r.Core.Txn.policy
     final_doc final_policy
 
+(* Five writers, each first seen by the replay at a different record:
+   two policy-only batches by different users on one document version
+   (their logins share the replay's snapshot), mixed batches with the
+   policy op before and after a document op, a writer logged in only
+   after the document gained the node its op targets, and a writer
+   whose class a replayed isa edit changed.  Recovery must land on the
+   live server's document and policy. *)
+let test_recovery_first_seen_users () =
+  let dir = mk_temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let store = Store.open_dir dir in
+  let doc0 = P.document () in
+  Store.init store doc0;
+  let serve = Core.Serve.create ~persist:store P.policy doc0 in
+  let p1 = Core.Serve.fresh_priority serve in
+  let p2 = Core.Serve.fresh_priority serve in
+  let add rule = Core.Op.Policy (Core.Op.Add_rule rule) in
+  let script =
+    [ ( P.richard,
+        [ add
+            (Core.Rule.deny Core.Privilege.Read ~path:"//service/node()"
+               ~subject:"secretary" ~priority:p1) ] );
+      ( P.robert,
+        [ Core.Op.Policy
+            (Core.Op.Add_isa { sub = P.richard; super = "doctor" }) ] );
+      ( P.beaufort,
+        [ Core.Op.Doc
+            (Op.append "/patients"
+               (Tree.element "zoe"
+                  [ Tree.element "service" [ Tree.text "surgery" ];
+                    Tree.element "diagnosis" [] ]));
+          add
+            (Core.Rule.accept Core.Privilege.Read ~path:"//note"
+               ~subject:"patient" ~priority:p2) ] );
+      ( P.laporte,
+        [ Core.Op.Policy (Core.Op.Retract_rule { priority = p1 });
+          Core.Op.Doc (Op.append "/patients/zoe/diagnosis" (Tree.text "flu")) ]
+      );
+      ( P.richard,
+        [ Core.Op.Doc (Op.update "/patients/franck/diagnosis" "cured") ] ) ]
+  in
+  List.iteri
+    (fun i (user, ops) ->
+      match Core.Serve.commit_ops serve ~user ops with
+      | Ok _ -> ()
+      | Error e ->
+        Alcotest.failf "step %d by %s aborted: %s" i user
+          (Core.Txn.error_to_string e))
+    script;
+  Store.close store;
+  let r = Core.Txn.recover P.policy dir in
+  Alcotest.(check int) "every batch replayed" (List.length script)
+    r.Core.Txn.replayed;
+  Alcotest.(check bool) "the live server's document" true
+    (D.equal r.Core.Txn.doc (Core.Serve.source serve));
+  Alcotest.(check string) "the live server's policy"
+    (policy_str (Core.Serve.policy serve))
+    (policy_str r.Core.Txn.policy);
+  Alcotest.(check int) "zoe's diagnosis was written" 1
+    (List.length
+       (Xpath.Eval.select_str r.Core.Txn.doc "/patients/zoe/diagnosis/text()"))
+
 let () =
   Alcotest.run "policy_churn"
     [
@@ -830,5 +892,7 @@ let () =
         [
           Alcotest.test_case "every byte-prefix of a mixed journal" `Quick
             test_mixed_recovery_every_prefix;
+          Alcotest.test_case "five first-seen writers" `Quick
+            test_recovery_first_seen_users;
         ] );
     ]
