@@ -96,10 +96,11 @@ let handle session line =
     session
   | "query" ->
     let ids = Core.Session.query session rest in
+    let view = Core.Session.view session in
     List.iter
       (fun id ->
         Printf.printf "%-12s %s\n" (Ordpath.to_string id)
-          (Xmldoc.Xml_print.subtree_to_string (Core.Session.view session) id))
+          (Xmldoc.Xml_print.subtree_to_string view id))
       ids;
     Printf.printf "%d node(s)\n" (List.length ids);
     session

@@ -516,8 +516,8 @@ let match_delta index fl roots =
     | Some matcher ->
       let f rows (n : Xmldoc.Node.t) payloads = (n.id, payloads) :: rows in
       List.rev
-        (Xpath.Compile.fold_ranges_flat matcher fl ~ranges:(ranges_of fl roots)
-           ~init:[] ~f)
+        (Xpath.Compile.fold_ranges_shared matcher fl
+           ~ranges:(ranges_of fl roots) ~init:[] ~f)
   in
   { index; rows }
 

@@ -68,7 +68,9 @@ type applicable = { bits : Bytes.t; local : bool }
 type index = {
   policy : t;
   by_position : Rule.t array;
-  matcher : int Xpath.Compile.t option;
+  matcher : int Xpath.Compile.shared option;
+      (* the automaton with its one determinisation run: every commit's
+         delta match takes its turn on it *)
   nonlocal : Bytes.t;  (* positions of the non-downward rules *)
   naming : Bytes.t StrMap.t;  (* subject -> positions of its own rules *)
 }
@@ -109,7 +111,7 @@ let index t =
   let matcher =
     match !downward with
     | [] -> None
-    | paths -> Some (Xpath.Compile.compile (List.rev paths))
+    | paths -> Some (Xpath.Compile.share (Xpath.Compile.compile (List.rev paths)))
   in
   { policy = t; by_position; matcher; nonlocal; naming = !naming }
 

@@ -59,8 +59,10 @@ val rules_for : t -> user:string -> Rule.t list
     whose payloads are rule positions.  A commit then matches its delta
     once with the automaton, and each class keeps the matches its bitset
     holds ({!Perm.match_delta}).  Building one costs the rules, not the
-    subject hierarchy.  An index never changes once built, so domains
-    may share it; build it once per policy version. *)
+    subject hierarchy.  An index never changes once built, apart from
+    its automaton's determinisation run, which matches take turns on
+    under a mutex; domains may share it.  Build it once per policy
+    version. *)
 
 type index
 
@@ -72,9 +74,12 @@ val index : t -> index
 val indexed : index -> t
 (** The policy the index was built from (physically). *)
 
-val matcher : index -> int Xpath.Compile.t option
+val matcher : index -> int Xpath.Compile.shared option
 (** The policy's downward rules in one automaton; a payload is the rule's
-    position ({!rule_at}).  [None] when no rule is downward. *)
+    position ({!rule_at}).  [None] when no rule is downward.  The
+    automaton comes with the index's one determinisation run
+    ({!Xpath.Compile.share}), so successive commits matched with it
+    reuse the state sets earlier ones interned. *)
 
 val rule_at : index -> int -> Rule.t
 (** The rule at a position: positions count {!rules} from [0]. *)

@@ -42,7 +42,7 @@ let m_skips =
 
 let h_apply =
   Obs.Metrics.histogram Obs.Metrics.default "secure_update_seconds"
-    ~help:"Secure update latency incl. incremental view maintenance"
+    ~help:"Secure update latency incl. incremental permission maintenance"
 
 let f_decisions =
   Obs.Metrics.family Obs.Metrics.default "decisions_total"
@@ -129,13 +129,12 @@ let rename_node ~emit session st ~action ~target id new_label =
    Dynamic content (value-of) is instantiated against the session's VIEW
    with the target as context: computed content can only embed data the
    user is permitted to see. *)
-let instantiate_on_view session ~target content =
+let instantiate_on_view ~view session ~target content =
   Xupdate.Content.instantiate
     ~vars:(Session.user_vars session)
-    (Xpath.Source.of_document (Session.view session))
-    ~context:target content
+    view ~context:target content
 
-let insert_tree ~emit session st ~action ~target content where =
+let insert_tree ~emit ~view session st ~action ~target content where =
   let source_doc = st.doc in
   match where with
   | `Append ->
@@ -145,7 +144,7 @@ let insert_tree ~emit session st ~action ~target content where =
     else if not (can_hold_children source_doc target) then
       skip ~emit ~session ~action st target "only element nodes accept children"
     else
-      let tree = instantiate_on_view session ~target content in
+      let tree = instantiate_on_view ~view session ~target content in
       let doc, id = D.append_tree source_doc ~parent:target tree in
       { st with doc; inserted = id :: st.inserted }
   | `Before | `After ->
@@ -176,7 +175,7 @@ let insert_tree ~emit session st ~action ~target content where =
           | None ->
             skip ~emit ~session ~action st target "target no longer present"
           | Some (left, right) ->
-            let tree = instantiate_on_view session ~target content in
+            let tree = instantiate_on_view ~view session ~target content in
             let doc, id = D.add_subtree source_doc ~parent ~left ~right tree in
             { st with doc; inserted = id :: st.inserted }))
 
@@ -184,17 +183,19 @@ let insert_tree ~emit session st ~action ~target content where =
    per-axiom logic over them and builds the report — with {e no} registry
    side effects.  Audit events flow through [emit]; the counters are the
    caller's business ([apply] records them immediately,
-   {!record_committed} at a transaction's commit point). *)
-let run ~emit session op =
+   {!record_committed} at a transaction's commit point).  [view] is the
+   session's view as a virtual source: every read of the op — target
+   selection, value-of content, an update's view-children — goes through
+   it, and none touches the source database. *)
+let run ~emit ~view session op =
   let action = Op.name op in
   Obs.Trace.annotate "op" action;
   Obs.Trace.annotate "user" (Session.user session);
-  let view = Session.view session in
   let targets =
     (* Target selection happens on the view (axioms 18-25). *)
     Obs.Trace.with_span "xpath.eval_targets" (fun () ->
         Xpath.Eval.select
-          (Xpath.Eval.env ~vars:(Session.user_vars session) view)
+          (Xpath.Eval.env_of_source ~vars:(Session.user_vars session) view)
           (Op.path op))
   in
   let st =
@@ -220,7 +221,7 @@ let run ~emit session op =
          each child needs both update and read. *)
       List.fold_left
         (fun st target ->
-          match D.children view target with
+          match view.Xpath.Source.children target with
           | [] ->
             skip ~emit ~session ~action st target
               "the addressed node has no visible children"
@@ -233,17 +234,17 @@ let run ~emit session op =
     | Op.Append { content; _ } ->
       List.fold_left
         (fun st target ->
-          insert_tree ~emit session st ~action ~target content `Append)
+          insert_tree ~emit ~view session st ~action ~target content `Append)
         st targets
     | Op.Insert_before { content; _ } ->
       List.fold_left
         (fun st target ->
-          insert_tree ~emit session st ~action ~target content `Before)
+          insert_tree ~emit ~view session st ~action ~target content `Before)
         st targets
     | Op.Insert_after { content; _ } ->
       List.fold_left
         (fun st target ->
-          insert_tree ~emit session st ~action ~target content `After)
+          insert_tree ~emit ~view session st ~action ~target content `After)
         st targets
     | Op.Remove _ ->
       List.fold_left
@@ -314,13 +315,14 @@ let record_committed reports =
 let apply session op =
   Obs.Metrics.time h_apply @@ fun () ->
   Obs.Trace.with_span "secure_update.apply" @@ fun () ->
-  let doc, report = run ~emit:(fun event -> event ()) session op in
+  let view = View.source (Session.source session) (Session.perm session) in
+  let doc, report = run ~emit:(fun event -> event ()) ~view session op in
   record_committed [ report ];
   (Session.apply_delta session doc report.delta, report)
 
-let stage ~defer session op =
+let stage ~defer ~view session op =
   Obs.Trace.with_span "secure_update.stage" @@ fun () ->
-  let doc, report = run ~emit:(fun event -> Queue.add event defer) session op in
+  let doc, report = run ~emit:(fun event -> Queue.add event defer) ~view session op in
   (Session.apply_delta ~quiet:true session doc report.delta, report)
 
 let apply_all session ops =

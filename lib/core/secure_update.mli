@@ -42,21 +42,26 @@ type report = {
 
 val apply : Session.t -> Xupdate.Op.t -> Session.t * report
 (** Applies the operation and returns the rebased session: permissions
-    and view are maintained incrementally inside the report's [delta]
+    are maintained incrementally inside the report's [delta]
     ({!Session.apply_delta}) rather than re-derived from scratch.  The
+    op reads the session's view through {!View.source}, virtually.  The
     operation may succeed on some targets and be denied on others
     (§4.4.2). *)
 
 val stage :
-  defer:(unit -> unit) Queue.t -> Session.t -> Xupdate.Op.t ->
-  Session.t * report
+  defer:(unit -> unit) Queue.t -> view:Xpath.Source.t -> Session.t ->
+  Xupdate.Op.t -> Session.t * report
 (** [apply] with {e zero} registry side effects — the building block of
     {!Txn}.  The semantics (target selection on the view, per-axiom
     privilege checks, incremental rebase of the returned session) are
     identical, but no metric counter moves and every audit event is
     pushed onto [defer] instead of the ring; a transaction runs the
     queued events only at its commit point, so an aborted batch is
-    observationally absent. *)
+    observationally absent.  [view] is the session's view as a source
+    (a {!Lazy_view} of a snapshot of the session's source, or
+    {!View.source} of the source itself, with the session's decisions):
+    the op selects its targets on it, instantiates value-of content
+    against it and lists an update target's view-children on it. *)
 
 val record_committed : report list -> unit
 (** Folds staged reports into the per-op counters

@@ -1,18 +1,24 @@
 (* Permission-equivalence classes (see Perm.profile): users whose
    applicable rules are identical and $USER-free provably resolve to the
-   same decision store, the same materialised view and the same lazy
-   visibility — so the server keeps ONE shared state per class (the
-   representative session + lazy view) and a thin per-user handle.
-   Logins, broadcast rebases and memory all scale with the number of
-   distinct permission profiles, not the number of sessions.  Users with
-   a $USER rule form singleton classes and behave exactly as before. *)
+   same decision store and the same visibility — so the server keeps ONE
+   shared state per class (the representative session + lazy view) and
+   a thin per-user handle.  Logins, broadcast rebases and memory all
+   scale with the number of distinct permission profiles, not the number
+   of sessions.  Users with a $USER rule form singleton classes and
+   behave exactly as before.  No class holds a materialised view: reads
+   and the first document op of a class member's batch both run on the
+   lazy view. *)
 
 type shared = {
   profile : string;
   mutable rep : Session.t;
-      (* representative session; its identity is the first member that
-         created the class (member handles impersonate it on demand) *)
+      (* representative session (source + decisions, no view); its
+         identity is the first member that created the class (member
+         handles impersonate it on demand) *)
   mutable lazy_view : Lazy_view.t;
+      (* the class's view: the published snapshot with the rep's
+         decisions and, once a read or a write needed it, its
+         visibility oracle *)
   mutable members : int;
 }
 
@@ -611,7 +617,7 @@ let rekey t ~txn ~flat ~source ~delta ~matched ~policy ~writer ~writer_cls
     (Obs.Events.Rekey { classes = Array.length arr; splits; merges })
 
 (* Every mutation routes through here: one Txn.commit_ops staging the
-   whole mixed batch on the writer's view, then — only on success —
+   whole mixed batch on the writer's (lazy) view, then — only on success —
    journal append (of the APPLIED ops: replay never re-litigates
    authority), publication under the lock, and either the per-batch
    broadcast fan-out (document-only batches) or a class rekey (the batch
@@ -627,19 +633,22 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
   let txn = Obs.Events.next_txn () in
   Obs.Events.with_txn txn @@ fun () ->
   let e = entry t ~user in
-  let staged_on = Session.source e.cls.rep in
+  let rep, lazy_view = (e.cls.rep, e.cls.lazy_view) in
+  let staged_on = Session.source rep in
   let published, published_flat, index =
     locked t (fun () -> (t.source, t.flat, t.index))
   in
-  (* Policy ops stage on the published snapshot while the staged
-     document is still the published one. *)
-  let staging_flat =
-    if staged_on == published then Some published_flat else None
+  (* A batch staged on the published document reads the writer class's
+     lazy view over the published snapshot: its first document op
+     selects there, and its policy ops re-resolve on the view's
+     snapshot. *)
+  let view =
+    if staged_on == published && Lazy_view.flat lazy_view == published_flat
+    then Some lazy_view
+    else None
   in
   match
-    Txn.commit_ops ~on_denial ?admin ?flat:staging_flat
-      (Session.impersonate e.cls.rep ~user)
-      ops
+    Txn.commit_ops ~on_denial ?admin ?view (Session.impersonate rep ~user) ops
   with
   | Error _ as err -> err
   | Ok

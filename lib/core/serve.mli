@@ -8,21 +8,23 @@
     Sessions are grouped into {e permission-equivalence classes}
     ({!Perm.profile}): users whose applicable rules are identical and
     [$USER]-free provably resolve to the same decisions, so they share
-    one session state — one decision store, one materialised view, one
-    {!Lazy_view}, one broadcast rebase.  Logins, fan-out work
-    and memory scale with the number of distinct permission profiles,
-    not the number of logged users; users carrying a [$USER] rule form
-    singleton classes and behave exactly as dedicated sessions.
+    one session state — one decision store, one {!Lazy_view}, one
+    broadcast rebase.  Logins, fan-out work and memory scale with the
+    number of distinct permission profiles, not the number of logged
+    users; users carrying a [$USER] rule form singleton classes and
+    behave exactly as dedicated sessions.
 
-    Each class carries both enforcement engines: the incrementally
-    maintained materialised view (axioms 15–17 via {!Session.apply_delta}),
-    which serves writes, and a {!Lazy_view} over the published snapshot
-    for query filtering, rebased on each broadcast; {!query} answers
-    through the compiled {!Rewrite} read path (plans cached per query
-    text, shared by every session).  Classes
-    whose rules are not downward ({!Session.policy_local}) transparently
-    fall back to full re-derivation on every write — same answers, no
-    locality. *)
+    A class is its profile, a representative session (source and
+    decisions, maintained by {!Session.apply_delta}) and a {!Lazy_view}
+    over the published snapshot, rebased on each broadcast.  The view
+    stays virtual: {!query} answers through the compiled {!Rewrite} read
+    path on the lazy view (plans cached per query text, shared by every
+    session), and a write batch staged on the published document selects
+    its first document op's targets on the writer class's lazy view too
+    (see {!Txn.commit_ops}).  No class materialises its view; {!view}
+    derives one on demand.  Classes whose rules are not downward
+    ({!Session.policy_local}) transparently fall back to full
+    re-resolution on every write — same answers, no locality. *)
 
 type t
 
@@ -91,7 +93,8 @@ val lazy_view : t -> user:string -> Lazy_view.t
 (** The user's {e class}'s lazy view — shared by every member. *)
 
 val view : t -> user:string -> Xmldoc.Document.t
-(** The user's materialised view (incrementally maintained). *)
+(** The user's view, derived on demand from the class's decisions
+    ({!Session.view}): O(n) per call, for display and checks. *)
 
 val query : t -> user:string -> string -> Ordpath.t list
 (** Evaluates through the {!Rewrite} read path on the user's class state
@@ -120,8 +123,9 @@ val commit_ops :
   (committed, Txn.error) result
 (** The authoritative write path, generalised to mixed batches of
     document and policy mutations: stages the batch as one
-    {!Txn.commit_ops} on [user]'s session (later ops see earlier ops'
-    effects, including rule changes), journals the {e applied} ops (when
+    {!Txn.commit_ops} on [user]'s session and its class's lazy view
+    (later ops see earlier ops' effects, including rule changes),
+    journals the {e applied} ops (when
     [?persist] is attached), then publishes the new epoch.  A
     document-only batch broadcasts the merged delta once per class; a
     batch carrying policy ops re-keys the permission-equivalence classes

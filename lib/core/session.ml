@@ -3,7 +3,6 @@ type t = {
   policy : Policy.t;
   source : Xmldoc.Document.t;
   perm : Perm.t;
-  view : Xmldoc.Document.t;
   local : bool;
       (* are all applicable rule paths downward, i.e. is delta-scoped
          invalidation sound for this session? decided once at login *)
@@ -14,19 +13,20 @@ exception Unknown_user of string
 (* Observability (all no-ops unless enabled; see lib/obs). *)
 let m_logins =
   Obs.Metrics.counter Obs.Metrics.default "session_logins_total"
-    ~help:"Sessions opened (perm resolution + view derivation)"
+    ~help:"Sessions opened (perm resolution)"
 
 let m_queries =
   Obs.Metrics.counter Obs.Metrics.default "session_queries_total"
-    ~help:"XPath queries evaluated on materialised views"
+    ~help:"XPath queries evaluated on a session's virtual view"
 
 let m_refresh_full =
   Obs.Metrics.counter Obs.Metrics.default "session_refresh_full_total"
-    ~help:"Full perm+view re-derivations (login excluded)"
+    ~help:"Full perm re-resolutions (login excluded)"
 
 let m_patch_incremental =
   Obs.Metrics.counter Obs.Metrics.default "session_patch_incremental_total"
-    ~help:"Delta-scoped perm+view maintenance passes (Perm.update/View.patch)"
+    ~help:"Delta-scoped perm maintenance passes (Perm.update, \
+           Perm.update_policy)"
 
 let m_delta_noop =
   Obs.Metrics.counter Obs.Metrics.default "session_delta_noop_total"
@@ -39,11 +39,11 @@ let m_delta_widened =
 
 let h_login =
   Obs.Metrics.histogram Obs.Metrics.default "session_login_seconds"
-    ~help:"Login latency (perm resolution + view derivation)"
+    ~help:"Login latency (perm resolution)"
 
-(* Resolution and derivation read a snapshot: the caller's, or one
-   frozen here (outside the [flat.freeze] span, which counts the
-   snapshots a server publishes). *)
+(* Resolution reads a snapshot: the caller's, or one frozen here
+   (outside the [flat.freeze] span, which counts the snapshots a server
+   publishes). *)
 let snapshot ?flat source =
   match flat with Some fl -> fl | None -> Xmldoc.Flat.of_document source
 
@@ -58,24 +58,18 @@ let login ?flat policy source ~user =
             Obs.Trace.with_span "perm.compute" (fun () ->
                 Perm.compute policy flat ~user)
           in
-          let view =
-            Obs.Trace.with_span "view.derive" (fun () ->
-                View.derive flat perm)
-          in
           let local = Delta.local_rules (Policy.rules_for policy ~user) in
           Obs.Metrics.inc m_logins;
           if Obs.Audit.enabled () then
             Obs.Audit.record Obs.Audit.default ~user ~action:"login"
-              ~detail:
-                (Printf.sprintf "view: %d nodes; %s" (View.visible_count view)
-                   (if local then "delta-local" else "non-local rules"))
+              ~detail:(if local then "delta-local" else "non-local rules")
               Obs.Audit.Allowed;
-          { user; policy; source; perm; view; local }))
+          { user; policy; source; perm; local }))
 
 (* Equivalence-class sharing (see Perm.profile): a member session is the
    representative's record with only the identity swapped — the perm
-   store, the materialised view and the source are shared physically, so
-   an impersonated session costs one small record, not a login. *)
+   store and the source are shared physically, so an impersonated
+   session costs one small record, not a login. *)
 let impersonate t ~user =
   if String.equal user t.user then t
   else begin
@@ -88,8 +82,13 @@ let user t = t.user
 let policy t = t.policy
 let source t = t.source
 let perm t = t.perm
-let view t = t.view
 let policy_local t = t.local
+
+(* The view is virtual: derived here only for the callers that want the
+   whole document (display, the Datalog parity, tests). *)
+let view t =
+  Obs.Trace.with_span "view.derive" (fun () ->
+      View.derive (Xmldoc.Flat.of_document t.source) t.perm)
 
 let holds t privilege id = Perm.holds t.perm privilege id
 
@@ -98,7 +97,10 @@ let user_vars t = [ ("USER", Xpath.Value.Str t.user) ]
 let query_expr t expr =
   Obs.Metrics.inc m_queries;
   Obs.Trace.with_span "query.eval" (fun () ->
-      Xpath.Eval.select (Xpath.Eval.env ~vars:(user_vars t) t.view) expr)
+      Xpath.Eval.select
+        (Xpath.Eval.env_of_source ~vars:(user_vars t)
+           (View.source t.source t.perm))
+        expr)
 
 let query t src =
   Obs.Trace.with_span "session.query" (fun () ->
@@ -126,10 +128,7 @@ let refresh ?(quiet = false) ?flat t source =
         Obs.Trace.with_span "perm.compute" (fun () ->
             Perm.compute t.policy flat ~user:t.user)
       in
-      let view =
-        Obs.Trace.with_span "view.derive" (fun () -> View.derive flat perm)
-      in
-      { t with source; perm; view })
+      { t with source; perm })
 
 (* The applicable rules the view depends on: axioms 15-17 read only the
    read and position decisions. *)
@@ -142,11 +141,11 @@ let view_rules rules =
     rules
 
 (* Policy churn: the source is unchanged, the rule list is not.  The
-   perm store hands back exactly the delta it re-resolved, so the view
-   is patched over the same range; a session whose applicable rules are
-   untouched pays two list comparisons.  When only write rules moved,
-   the read and position decisions -- and with them the view -- cannot
-   have changed, so the view is kept and the delta is empty.  [quiet]
+   perm store hands back exactly the delta it re-resolved, which is what
+   a lazy view over the session must invalidate; a session whose
+   applicable rules are untouched pays two list comparisons.  When only
+   write rules moved, the read and position decisions -- and with them
+   the view -- cannot have changed, so the delta is empty.  [quiet]
    serves Txn staging like in {!apply_delta}: an aborted transaction
    must leave the registry bit-for-bit untouched. *)
 let apply_policy ?(quiet = false) ?flat t policy =
@@ -155,44 +154,21 @@ let apply_policy ?(quiet = false) ?flat t policy =
     let count c = if not quiet then Obs.Metrics.inc c in
     let old_rules = Policy.rules_for t.policy ~user:t.user
     and rules = Policy.rules_for policy ~user:t.user in
-    let local = Delta.local_rules rules in
-    (* A change to non-local rules recomputes everything and may re-derive
-       the view: both read one snapshot, frozen here when the caller has
-       none. *)
-    let flat =
-      if local || List.equal Rule.equal old_rules rules then flat
-      else Some (snapshot ?flat t.source)
-    in
     let perm, delta =
       Obs.Trace.with_span "perm.update_policy" (fun () ->
           Perm.update_policy ?flat t.perm ~old_policy:t.policy policy t.source)
     in
     let delta =
-      match delta with
-      | Delta.Local [] -> delta
-      | Delta.All | Delta.Local _ ->
-        if List.equal Rule.equal (view_rules old_rules) (view_rules rules)
-        then Delta.empty
-        else delta
+      if List.equal Rule.equal (view_rules old_rules) (view_rules rules) then
+        Delta.empty
+      else delta
     in
-    match delta with
-    | Delta.Local [] ->
-      count m_delta_noop;
-      ({ t with policy; perm; local }, delta)
-    | Delta.All ->
-      count m_refresh_full;
-      let view =
-        Obs.Trace.with_span "view.derive" (fun () ->
-            View.derive (snapshot ?flat t.source) perm)
-      in
-      ({ t with policy; perm; view; local }, delta)
-    | Delta.Local _ ->
-      count m_patch_incremental;
-      let view =
-        Obs.Trace.with_span "view.patch" (fun () ->
-            View.patch t.source ~view:t.view perm delta)
-      in
-      ({ t with policy; perm; view; local }, delta)
+    count
+      (match delta with
+       | Delta.Local [] -> m_delta_noop
+       | Delta.All -> m_refresh_full
+       | Delta.Local _ -> m_patch_incremental);
+    ({ t with policy; perm; local = Delta.local_rules rules }, delta)
   end
 
 let apply_delta ?(quiet = false) ?flat ?matched t source delta =
@@ -214,8 +190,4 @@ let apply_delta ?(quiet = false) ?flat ?matched t source delta =
           Obs.Trace.with_span "perm.update" (fun () ->
               Perm.update ?flat ?matched t.perm t.policy source delta)
         in
-        let view =
-          Obs.Trace.with_span "view.patch" (fun () ->
-              View.patch source ~view:t.view perm delta)
-        in
-        { t with source; perm; view })
+        { t with source; perm })

@@ -191,7 +191,7 @@ let structural_check ~input ~delta staged =
   if violations = [] then Atomic.set last_valid (Some staged);
   violations
 
-let commit_ops ?(on_denial = `Abort) ?validate ?admin ?flat session ops =
+let commit_ops ?(on_denial = `Abort) ?validate ?admin ?view session ops =
   Obs.Trace.with_span "txn.commit" @@ fun () ->
   Obs.Trace.annotate "user" (Session.user session);
   Obs.Trace.annotate "ops" (string_of_int (List.length ops));
@@ -211,6 +211,31 @@ let commit_ops ?(on_denial = `Abort) ?validate ?admin ?flat session ops =
   let t0 = Obs.Mono.now () in
   let issuer = Session.user session in
   let input = Session.source session in
+  let input_perm = Session.perm session in
+  let input_policy = Session.policy session in
+  (* The lazy view describes the staged session until an op changes its
+     document or its decisions; from then on the ops read the staged
+     document's view off the node map.  While only document ops of a
+     downward session have run, the staged document and decisions differ
+     from the lazy view's only inside the merged delta [staged], and the
+     map-backed view takes its wide child lists from the lazy view's
+     snapshot and oracle.  The snapshot describes the staged document
+     until a document op replaces it. *)
+  let view_of session ~staged =
+    let doc = Session.source session and perm = Session.perm session in
+    match (view, staged) with
+    | Some lv, _ when doc == input && perm == input_perm -> Lazy_view.source lv
+    | Some lv, Delta.Local roots
+      when Session.policy session == input_policy
+           && Session.policy_local session ->
+      View.source ~prior:(Lazy_view.flat_visibility lv, roots) doc perm
+    | Some _, (Delta.Local _ | Delta.All) | None, _ -> View.source doc perm
+  in
+  let flat_of session =
+    match view with
+    | Some lv when Session.source session == input -> Some (Lazy_view.flat lv)
+    | Some _ | None -> None
+  in
   let defer = Queue.create () in
   let abort err =
     Obs.Trace.annotate "outcome" "aborted";
@@ -227,7 +252,11 @@ let commit_ops ?(on_denial = `Abort) ?validate ?admin ?flat session ops =
     | [] ->
       Ok (session, List.rev reports, List.rev applied, List.rev denials, pdelta)
     | Op.Doc op :: rest -> (
-      match Secure_update.stage ~defer session op with
+      match
+        Secure_update.stage ~defer
+          ~view:(view_of session ~staged:(merged_delta reports))
+          session op
+      with
       | exception exn -> Error (Failed { index = i; op; exn })
       | session', report ->
         Obs.Events.emit
@@ -266,12 +295,10 @@ let commit_ops ?(on_denial = `Abort) ?validate ?admin ?flat session ops =
         match apply_policy_op (Session.policy session) pop with
         | Error reason -> deny reason
         | Ok policy' ->
-          (* The input's snapshot describes the staged document until a
-             document op replaces it. *)
-          let flat = if Session.source session == input then flat else None in
           let session', d =
             Obs.Trace.with_span "txn.stage_policy" (fun () ->
-                Session.apply_policy ~quiet:true ?flat session policy')
+                Session.apply_policy ~quiet:true ?flat:(flat_of session)
+                  session policy')
           in
           Obs.Events.emit
             (Obs.Events.Policy_stage { index = i; op = Op.policy_kind pop });
@@ -412,10 +439,12 @@ let recover policy dir =
     let on_denial =
       match mode with `Atomic -> `Abort | `Tolerant -> `Tolerate
     in
-    match
-      commit_ops ~on_denial ?flat:(snapshot_of (Session.source session))
-        session ops
-    with
+    let view =
+      Option.map
+        (fun fl -> Lazy_view.create fl (Session.perm session))
+        (snapshot_of (Session.source session))
+    in
+    match commit_ops ~on_denial ?view session ops with
     | Error err ->
       raise
         (Store.Error

@@ -74,7 +74,7 @@ val commit_ops :
   ?on_denial:[ `Abort | `Tolerate ] ->
   ?validate:(Xmldoc.Document.t -> string list) ->
   ?admin:Admin.t ->
-  ?flat:Xmldoc.Flat.t ->
+  ?view:Lazy_view.t ->
   Session.t -> Op.t list ->
   (committed, error) result
 (** [commit_ops session ops] stages, validates and commits a mixed
@@ -110,11 +110,17 @@ val commit_ops :
     full check, so no commit publishes a document the full check
     rejects.
 
-    [flat], when given, must be a frozen snapshot of the session's
-    source.  Policy ops staged while the staged document is still
-    physically that source re-resolve on it
-    ([Session.apply_policy ~flat]); later ones, after a document op,
-    re-resolve on the node map. *)
+    Every document op reads the writer's view — to select its targets,
+    instantiate value-of content and list an update target's
+    view-children — virtually, on one of two sources.  [view], when
+    given, must be a lazy view of the session: a snapshot of its source
+    with its decisions.  The ops staged while the staged session still
+    has that source and those decisions read it, and the policy ops
+    staged while the staged document is still that source re-resolve on
+    its snapshot ([Session.apply_policy ~flat]).  Every later op — and
+    every op when [view] is absent — reads {!View.source} of the staged
+    document and decisions, and re-resolves on the node map.  No op
+    freezes a snapshot of its own. *)
 
 val commit :
   ?on_denial:[ `Abort | `Tolerate ] ->

@@ -13,19 +13,31 @@ val derive : Xmldoc.Flat.t -> Perm.t -> Xmldoc.Document.t
     snapshot of, as a first-class document — every query facility works
     on it unchanged.  The selection reads {!Perm.flat_visibility}'s
     oracle row by row.  A caller holding only a document freezes it
-    ({!Xmldoc.Flat.of_document}). *)
+    ({!Xmldoc.Flat.of_document}).  Nothing on the serving path derives
+    a view: reads and writes run on {!Lazy_view} or {!source}. *)
 
-val patch :
-  Xmldoc.Document.t -> view:Xmldoc.Document.t -> Perm.t -> Delta.t ->
-  Xmldoc.Document.t
-(** [patch source ~view perm delta] re-derives the view incrementally on
-    the node map — the path of staged documents, which have no snapshot:
-    nodes of the old [view] outside [delta] are kept, nodes inside are
-    re-selected by axioms 15–17 against the new [source] and [perm].
-    Equal to [derive (Flat.of_document source) perm] whenever [delta]
-    covers the update and the session's rules are downward (see
-    {!Delta.local_rules}); pass {!Delta.all} otherwise, which freezes
-    [source] and derives in full. *)
+val source :
+  ?prior:(Xmldoc.Flat.t * Bytes.t) * Ordpath.t list ->
+  Xmldoc.Document.t -> Perm.t -> Xpath.Source.t
+(** [source doc perm]: the view of [doc] as a virtual {!Xpath.Source},
+    read straight off the node map — for a document with no snapshot,
+    such as a transaction's staged document.  Queries through it answer
+    exactly as on [derive (Xmldoc.Flat.of_document doc) perm], without
+    building that view: every axis keeps the nodes axioms 15–17 select
+    and shows position-only ones as {!restricted}.  Each node is decided
+    once, from the decision stores and its parent's decision, and the
+    decision is kept for the source's lifetime; a snapshot's
+    {!Lazy_view} answers the same reads faster.
+
+    [?prior] is [((fl, vis), roots)]: a snapshot of an earlier version
+    of [doc] with its visibility oracle ({!Perm.flat_visibility}), and
+    the roots of a normalised local delta ({!Delta.Local}) outside whose
+    subtrees neither the two documents nor [perm] and the decisions
+    [vis] was built from differ — what a downward session's staged
+    document and decisions satisfy against the snapshot its batch
+    started from.  A child list under a node outside those subtrees then
+    comes off the snapshot and its oracle, with the delta's roots taken
+    from the map; the answers are the same. *)
 
 val is_restricted : Xmldoc.Document.t -> Ordpath.t -> bool
 (** Is the node shown with the [RESTRICTED] label in this view?  (Checks

@@ -410,8 +410,7 @@ let fold_flat t fl ~init ~f =
    is re-threaded — ranges that share ancestors share their frames.  A
    range whose chain runs through a node the view prunes lies inside a
    pruned subtree and yields nothing. *)
-let fold_ranges_flat ?stats ?view t fl ~ranges ~init ~f =
-  let run = new_run t in
+let ranges_run ?stats ?view run fl ~ranges ~init ~f =
   let stk = flat_stack () in
   let visited = ref 0 and pruned = ref 0 in
   let shown ix =
@@ -465,6 +464,22 @@ let fold_ranges_flat ?stats ?view t fl ~ranges ~init ~f =
      s.states <- s.states + run.n_sets
    | None -> ());
   acc
+
+let fold_ranges_flat ?stats ?view t fl ~ranges ~init ~f =
+  ranges_run ?stats ?view (new_run t) fl ~ranges ~init ~f
+
+(* One determinisation run kept for the automaton's lifetime: the state
+   sets a traversal interns and the transitions it computes stay valid
+   for any later traversal of the same automaton, so a caller that runs
+   it over a few rows again and again (a commit's delta) stops paying
+   for the same sets each time.  The run is mutable, so traversals take
+   turns under the mutex. *)
+type 'a shared = { run : 'a run; lock : Mutex.t }
+
+let share t = { run = new_run t; lock = Mutex.create () }
+
+let fold_ranges_shared s fl ~ranges ~init ~f =
+  Mutex.protect s.lock (fun () -> ranges_run s.run fl ~ranges ~init ~f)
 
 let fold_view_flat ?stats t fl ~view ~init ~f =
   fold_ranges_flat ?stats ~view t fl

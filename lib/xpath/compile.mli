@@ -10,7 +10,7 @@
 
     The compiled value is immutable — it can be shared freely across
     domains (see [Core.Pool]); the determinised state-set memo is private
-    to each traversal. *)
+    to each traversal, except on a {!shared} run. *)
 
 type 'a t
 (** An automaton whose accepting states carry ['a] payloads. *)
@@ -109,6 +109,22 @@ val fold_ranges_flat :
     (default: every node shown, unchanged) prunes and relabels as in
     {!fold_view_flat}; a range below a pruned node yields nothing.
     [?stats] counts the threaded ancestors as visited too. *)
+
+type 'a shared
+(** An automaton together with one determinisation run that outlives
+    its traversals, guarded by a mutex. *)
+
+val share : 'a t -> 'a shared
+
+val fold_ranges_shared :
+  'a shared -> Xmldoc.Flat.t -> ranges:(int * int) list -> init:'b ->
+  f:('b -> Xmldoc.Node.t -> 'a list -> 'b) -> 'b
+(** {!fold_ranges_flat} (every node shown) on the shared run: the state
+    sets and transitions earlier traversals determinised are reused, not
+    rebuilt, and a payload list handed to [f] is physically the same
+    across traversals whenever its state set is.  Traversals on several
+    threads or domains take turns on the run's mutex, held while [f]
+    runs. *)
 
 (** {1 Anchored runs}
 

@@ -4,20 +4,34 @@
        view axioms 15-17 derive on the node map (Test_support.View_oracle)
        does;
    (b) after an XUpdate operation, the incrementally maintained state
-       (Session.apply_delta / Perm.update / View.patch / Lazy_view.rebase)
+       (Session.apply_delta / Perm.update / Lazy_view.rebase)
        is indistinguishable from a from-scratch re-derivation, and the
        rebased visibility oracle from a rebuild.
 
+   (c) the three view sources -- the map-backed View.source that
+       staging reads after a batch's first document op, the snapshot's
+       Lazy_view, and the View_oracle derivation -- answer every query
+       alike, and a batch's second document op selects on the staged
+       document exactly what the oracle view of that document holds.
+
    Every case is generated from a seeded PRNG (lib/workload); a failure
    prints the minimal repro: the seed, the document facts, the policy and
-   the operation. *)
+   the operation.  XMLSECU_DIFFERENTIAL_SEED overrides the base seed so
+   CI can sweep extra seeds without recompiling. *)
 
 open Xmldoc
 module D = Document
 module Op = Xupdate.Op
 module Prng = Workload.Prng
 
-let base_seed = 20250806
+let base_seed =
+  match Sys.getenv_opt "XMLSECU_DIFFERENTIAL_SEED" with
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n -> n
+    | None -> 20250806)
+  | None -> 20250806
+
 let cases = 240
 
 (* ------------------------------------------------------------------ *)
@@ -152,7 +166,8 @@ let check_incremental_update ~seed ~doc ~policy ~op ~flat session =
   let fresh_view =
     Test_support.View_oracle.derive source' (Core.Session.perm fresh)
   in
-  (* Views: patched vs derived from scratch on the node map. *)
+  (* Views: derived from the incrementally maintained permissions vs
+     from scratch on the node map. *)
   if not (D.equal (Core.Session.view session') fresh_view) then
     failwith
       (repro ~seed ~doc ~policy ~op
@@ -216,6 +231,154 @@ let run_checks ~seed ~doc ~policy ~op =
   check_lazy_agreement ~seed ~doc ~policy ~op ~flat session;
   check_incremental_update ~seed ~doc ~policy ~op ~flat session;
   session
+
+(* ------------------------------------------------------------------ *)
+(* (c) the view sources a write reads ≡ the oracle view                *)
+(* ------------------------------------------------------------------ *)
+
+(* Write target paths (positional, as a client that browsed to a node
+   sends them), reverse axes, string() predicates and the RESTRICTED
+   label, beside the generated read mix. *)
+let view_queries seed =
+  Workload.Gen_query.random ~seed ~count:4
+  @ [ "/patients/*[3]/*[1]"; "/patients/*[1]/*[2]"; "/patients/*[2]/service";
+      "/patients/*[4]/service/text()"; "/patients/*[last()]";
+      "/patients/*[1]/*[last()]"; "//visit[last()]/note"; "//RESTRICTED";
+      "//RESTRICTED/.."; "//visit/ancestor::*"; "//date/parent::node()";
+      "//note/preceding-sibling::*"; "//diagnosis/following-sibling::*[1]";
+      "//service/following::date"; "//visit/preceding::service";
+      "//note/ancestor-or-self::node()"; "//service[string() = 'surgery']";
+      "/patients/*[string(service) = 'cardiology']/diagnosis";
+      "//*[starts-with(string(), 'f')]"; "//visit/@n"; "//node()" ]
+
+let eval_on ~vars src q =
+  match Xpath.Eval.select (Xpath.Eval.env_of_source ~vars src) (Xpath.Parser.parse_path q) with
+  | ids -> Ok (List.map Ordpath.to_string ids)
+  | exception Xpath.Eval.Error m -> Error m
+
+let check_view_sources ~seed ~doc ~policy ~op ~flat session =
+  let perm = Core.Session.perm session in
+  let vars = Core.Session.user_vars session in
+  let oracle =
+    Xpath.Source.of_document (Test_support.View_oracle.derive doc perm)
+  in
+  let sources =
+    [ ("View.source", Core.View.source doc perm);
+      ("Lazy_view.source", Core.Lazy_view.source (Core.Lazy_view.create flat perm)) ]
+  in
+  List.iter
+    (fun q ->
+      let expect = eval_on ~vars oracle q in
+      List.iter
+        (fun (name, src) ->
+          let got = eval_on ~vars src q in
+          if got <> expect then
+            let show = function
+              | Ok ids -> "[" ^ String.concat "; " ids ^ "]"
+              | Error m -> "error " ^ m
+            in
+            failwith
+              (repro ~seed ~doc ~policy ~op
+                 (Printf.sprintf "%s disagrees with the oracle view on %s:\n  %s %s\n  oracle %s"
+                    q name name (show got) (show expect))))
+        sources)
+    (view_queries seed)
+
+(* A two-op batch staged as Serve stages it: the first op on the lazy
+   view of the published snapshot, the second on the map-backed view of
+   the staged document.  Each op's targets must be what its path selects
+   on the oracle view of the document it was staged on -- on the second
+   op that is the staged document, which has no snapshot: the §2.2
+   covert channel, for a batch's later ops. *)
+let check_batch_targets ~seed ~doc ~policy ~op ~op2 ~flat session =
+  let lv = Core.Lazy_view.of_session flat session in
+  let vars = Core.Session.user_vars session in
+  let oracle_targets s (o : Op.t) =
+    Xpath.Eval.select
+      (Xpath.Eval.env ~vars
+         (Test_support.View_oracle.derive (Core.Session.source s)
+            (Core.Session.perm s)))
+      (Op.path o)
+  in
+  match
+    Core.Txn.commit_ops ~on_denial:`Tolerate ~view:lv session
+      [ Core.Op.Doc op; Core.Op.Doc op2 ]
+  with
+  | Error _ -> false
+  | Ok { reports = [ r1; r2 ]; _ } ->
+    let staged, _ = Core.Secure_update.apply session op in
+    List.iter
+      (fun (which, (r : Core.Secure_update.report), expect) ->
+        if not (List.equal Ordpath.equal r.targets expect) then
+          failwith
+            (repro ~seed ~doc ~policy ~op
+               (Printf.sprintf
+                  "the batch's %s op (%s) selected [%s], the oracle view [%s]"
+                  which
+                  (Format.asprintf "%a" Op.pp r.op)
+                  (String.concat "; " (List.map Ordpath.to_string r.targets))
+                  (String.concat "; " (List.map Ordpath.to_string expect)))))
+      [ ("first", r1, oracle_targets session op);
+        ("second", r2, oracle_targets staged op2) ];
+    r2.targets <> [] && not (Core.Delta.is_empty r1.delta)
+  | Ok _ -> failwith "a two-op batch committed without two reports"
+
+(* The generated policies grant u little, so most ops would select
+   nothing or be denied and leave the staged document as it was.  Here u
+   reads everything the generated rules do not deny (a read grant below
+   every generated rule, which keep their hidden and RESTRICTED nodes)
+   and may write anywhere its view lets it select. *)
+let with_write_grants policy =
+  List.fold_left
+    (fun p privilege ->
+      Core.Policy.add_rule p
+        (Core.Rule.accept privilege ~path:"//node()" ~subject:"u"
+           ~priority:(Core.Policy.next_priority p)))
+    (Core.Policy.add_rule policy
+       (Core.Rule.accept Core.Privilege.Read ~path:"//node()" ~subject:"u"
+          ~priority:0))
+    Core.Privilege.[ Insert; Update; Delete ]
+
+let run_source_checks ~seed ~doc ~policy ~op ~op2 =
+  let policy = with_write_grants policy in
+  let flat = Flat.of_document doc in
+  let session = Core.Session.login ~flat policy doc ~user:"u" in
+  check_view_sources ~seed ~doc ~policy ~op ~flat session;
+  check_batch_targets ~seed ~doc ~policy ~op ~op2 ~flat session
+
+let test_view_sources () =
+  let staged = ref 0 in
+  for case = 0 to cases - 1 do
+    let seed = base_seed + case in
+    let rng, doc, policy, op = random_case seed in
+    let _, op2 = random_op rng in
+    match run_source_checks ~seed ~doc ~policy ~op ~op2 with
+    | second_selected -> if second_selected then incr staged
+    | exception e ->
+      let still_fails doc policy =
+        match run_source_checks ~seed ~doc ~policy ~op ~op2 with
+        | _ -> false
+        | exception _ -> true
+      in
+      let doc' =
+        Test_support.Shrink.document ~fails:(fun d -> still_fails d policy) doc
+      in
+      let policy' = Test_support.Shrink.policy ~fails:(still_fails doc') policy in
+      let msg = match e with Failure m -> m | e -> Printexc.to_string e in
+      let text =
+        Test_support.Shrink.render ~seed ~doc:doc' ~policy:policy'
+          ~op:(Format.asprintf "%a; %a" Op.pp op Op.pp op2)
+          msg
+      in
+      Test_support.Shrink.save ~name:"differential-sources" ~seed text;
+      Alcotest.fail text
+  done;
+  (* The second op must often select on a document the first op changed,
+     or the staged source was hardly exercised. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 40 second ops selected on a changed document (%d)"
+       !staged)
+    true (!staged >= 40)
 
 let test_differential () =
   let locals = ref 0 in
@@ -806,6 +969,10 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "%d seeded cases, both equivalences" cases)
             `Quick test_differential;
+          Alcotest.test_case
+            (Printf.sprintf "%d seeded cases, view sources and staged targets"
+               cases)
+            `Quick test_view_sources;
         ] );
       ( "invalidation-boundaries",
         [

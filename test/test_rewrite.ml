@@ -596,7 +596,7 @@ let test_class_draining () =
    labels on a wide Gen_large document, read by three reader roles that
    each hide a different part of it (one keeping the hidden elements as
    RESTRICTED) and by an editor holding every privilege.  Every class's
-   served answers must equal Session.query on its materialised view and
+   served answers must equal Session.query on its (map-backed) view and
    the rewrite-free form, before and after a policy-only commit and a
    document commit. *)
 let test_served_zipf_fallback () =
@@ -706,7 +706,7 @@ let test_served_zipf_fallback () =
    labels, on a small Gen_large document: Rewrite.select on each
    class's served lazy view takes the anchored plan (the stats name the
    anchor labels) for all but the densest labels, and answers exactly
-   like Session.query on the materialised view — before and after a
+   like Session.query on the map-backed view — before and after a
    document commit that patches every class's oracle. *)
 let test_served_anchored () =
   let module G = Workload.Gen_large in
