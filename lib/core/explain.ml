@@ -41,17 +41,15 @@ let visibility session id =
           }
       else Hidden { denied_by = Perm.deciding_rule perm Privilege.Read id }
 
-let rule_to_string r = Format.asprintf "%a" Rule.pp r
-
 let privilege session priv id =
   let perm = Session.perm session in
   match Perm.deciding_rule perm priv id with
   | Some r when r.Rule.decision = Rule.Accept ->
     Printf.sprintf "%s granted by %s" (Privilege.to_string priv)
-      (rule_to_string r)
+      r.Rule.notation
   | Some r ->
     Printf.sprintf "%s denied by %s" (Privilege.to_string priv)
-      (rule_to_string r)
+      r.Rule.notation
   | None ->
     Printf.sprintf "%s denied: no applicable rule (closed world)"
       (Privilege.to_string priv)
@@ -62,17 +60,17 @@ let describe session id =
   (match visibility session id with
    | No_such_node -> line "node %s does not exist" (Ordpath.to_string id)
    | Visible r ->
-     line "node %s is visible (%s)" (Ordpath.to_string id) (rule_to_string r)
+     line "node %s is visible (%s)" (Ordpath.to_string id) r.Rule.notation
    | Restricted { position; read_denied } ->
      line "node %s is shown RESTRICTED (position via %s%s)"
-       (Ordpath.to_string id) (rule_to_string position)
+       (Ordpath.to_string id) position.Rule.notation
        (match read_denied with
-        | Some r -> "; read denied by " ^ rule_to_string r
+        | Some r -> "; read denied by " ^ r.Rule.notation
         | None -> "; no read rule applies")
    | Hidden { denied_by } ->
      line "node %s is hidden%s" (Ordpath.to_string id)
        (match denied_by with
-        | Some r -> " (read denied by " ^ rule_to_string r ^ ")"
+        | Some r -> " (read denied by " ^ r.Rule.notation ^ ")"
         | None -> " (no applicable read rule: closed world)")
    | Pruned ancestor ->
      line "node %s is pruned: ancestor %s is hidden" (Ordpath.to_string id)

@@ -212,17 +212,9 @@ let stats_index rules =
     let tbl = Hashtbl.create (2 * List.length rules + 1) in
     List.iter
       (fun (r : Rule.t) ->
-        let e =
-          (* Formatting the description dominates registration, and a
-             rule re-resolves on every broadcast — only pay it once. *)
-          match Obs.Rulestats.find ~key:r.priority with
-          | Some e -> e
-          | None ->
-            Obs.Rulestats.register ~key:r.priority
-              ~privilege:(Privilege.to_string r.privilege)
-              ~desc:(Format.asprintf "%a" Rule.pp r)
-        in
-        Hashtbl.replace tbl r.priority e)
+        Hashtbl.replace tbl r.priority
+          (Obs.Rulestats.register ~key:r.priority
+             ~privilege:(Privilege.to_string r.privilege) ~desc:r.notation))
       rules;
     Some (fun (r : Rule.t) -> Hashtbl.find tbl r.Rule.priority)
   end

@@ -7,7 +7,10 @@ type t = {
   path_src : string;
   subject : string;
   priority : int;
+  notation : string;
 }
+
+let decision_to_string = function Accept -> "accept" | Deny -> "deny"
 
 let v decision privilege ~path ~subject ~priority =
   {
@@ -17,6 +20,9 @@ let v decision privilege ~path ~subject ~priority =
     path_src = path;
     subject;
     priority;
+    notation =
+      Printf.sprintf "rule(%s, %s, %s, %s, %d)" (decision_to_string decision)
+        (Privilege.to_string privilege) path subject priority;
   }
 
 let accept privilege ~path ~subject ~priority =
@@ -25,8 +31,6 @@ let accept privilege ~path ~subject ~priority =
 let deny privilege ~path ~subject ~priority =
   v Deny privilege ~path ~subject ~priority
 
-let decision_to_string = function Accept -> "accept" | Deny -> "deny"
-
 let equal a b =
   a.decision = b.decision
   && Privilege.equal a.privilege b.privilege
@@ -34,10 +38,7 @@ let equal a b =
   && String.equal a.subject b.subject
   && a.priority = b.priority
 
-let pp fmt t =
-  Format.fprintf fmt "rule(%s, %a, %s, %s, %d)"
-    (decision_to_string t.decision)
-    Privilege.pp t.privilege t.path_src t.subject t.priority
+let pp fmt t = Format.pp_print_string fmt t.notation
 
 let rec expr_uses_user (e : Xpath.Ast.expr) =
   let open Xpath.Ast in

@@ -4,13 +4,16 @@
 
 type decision = Accept | Deny
 
-type t = {
+type t = private {
   decision : decision;
   privilege : Privilege.t;
   path : Xpath.Ast.expr;
   path_src : string;  (** concrete syntax, kept for printing/encoding *)
   subject : string;
   priority : int;
+  notation : string;
+      (** paper notation, [rule(accept, read, //*, staff, 10)], rendered
+          once by {!v} for every log, report and explanation *)
 }
 
 val v :
@@ -25,7 +28,7 @@ val deny : Privilege.t -> path:string -> subject:string -> priority:int -> t
 val decision_to_string : decision -> string
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-(** Paper notation: [rule(accept, read, //*, staff, 10)]. *)
+(** Prints [notation]. *)
 
 val uses_user_variable : t -> bool
 (** Does the path mention [$USER] (rule 5 of axiom 13)?  Such rules must

@@ -53,7 +53,7 @@ let f_decisions =
    reports it — what the audit trail shows next to each decision. *)
 let rule_string session privilege id =
   match Perm.deciding_rule (Session.perm session) privilege id with
-  | Some r -> Format.asprintf "%a" Rule.pp r
+  | Some r -> r.Rule.notation
   | None -> "no applicable rule (closed world)"
 
 (* Every privilege check of axioms 18-25 goes through here so the audit

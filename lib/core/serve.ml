@@ -51,9 +51,6 @@ type t = {
   plans : (string, Rewrite.t) Hashtbl.t;
       (* query text -> compiled rewrite; plans are user- and
          policy-independent, so one cache serves every session *)
-  rule_descs : (int, string) Hashtbl.t;
-      (* priority -> rendered rule; priorities are unique within the
-         policy, and rendering a rule is too slow for every plan record *)
   mutable writes : int;
   pool : Pool.t;
   persist : Store.t option;
@@ -162,7 +159,6 @@ let create ?pool ?persist policy source =
     sessions = Hashtbl.create 8;
     classes = Hashtbl.create 8;
     plans = Hashtbl.create 8;
-    rule_descs = Hashtbl.create 8;
     writes = 0;
     pool;
     persist;
@@ -196,40 +192,6 @@ let register t ~user cls =
   if Obs.Rulestats.enabled () then
     Obs.Rulestats.note_member ~profile:cls.profile;
   Hashtbl.replace t.sessions user { user; cls }
-
-let login t ~user =
-  if not (locked t (fun () -> Hashtbl.mem t.sessions user)) then begin
-    check_known t ~user;
-    let profile = Perm.profile t.policy ~user in
-    (* The expensive representative login happens outside the lock; the
-       class table is re-checked under the lock (another thread may have
-       created — or drained — the class meanwhile). *)
-    let prebuilt =
-      if locked t (fun () -> Hashtbl.mem t.classes profile) then None
-      else begin
-        let source, flat = snapshot t in
-        Some (fresh_shared t ~source ~flat ~profile ~user)
-      end
-    in
-    locked t (fun () ->
-        if not (Hashtbl.mem t.sessions user) then begin
-          let cls =
-            match Hashtbl.find_opt t.classes profile with
-            | Some cls -> cls
-            | None ->
-              let cls =
-                match prebuilt with
-                | Some cls -> cls
-                | None ->
-                  fresh_shared t ~source:t.source ~flat:t.flat ~profile ~user
-              in
-              Hashtbl.replace t.classes profile cls;
-              cls
-          in
-          register t ~user cls;
-          sync_gauges t
-        end)
-  end
 
 (* Login-time fan-out: conflict resolution ([Perm.compute], inside
    [Session.login]) is the expensive part and is needed once per NEW
@@ -294,6 +256,8 @@ let login_many t users =
         profiles;
       sync_gauges t)
 
+let login t ~user = login_many t [ user ]
+
 let logout t ~user =
   locked t (fun () ->
       (match Hashtbl.find_opt t.sessions user with
@@ -354,25 +318,13 @@ let plan_for t q =
           Hashtbl.replace t.plans q plan;
           plan)
 
-(* Rendering a rule runs the Format machinery — far too slow per plan
-   record, and queries keep resolving to the same few rules, so the
-   rendered strings are memoised by priority for the server's lifetime. *)
-let rule_desc t (r : Rule.t) =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.rule_descs r.Rule.priority with
-      | Some desc -> desc
-      | None ->
-        let desc = Format.asprintf "%a" Rule.pp r in
-        Hashtbl.replace t.rule_descs r.Rule.priority desc;
-        desc)
-
 (* Deciding rules over (a bounded prefix of) the answer set: which rules
    made what the query returned visible — the read grant, or, for an
    answer the view shows as RESTRICTED, the position grant (as
    {!Explain.visibility} reports it).  Bounded so a 100k-answer query
    costs at most [budget] answers' binary searches of telemetry
    overhead. *)
-let deciding_rules_of t perm ids ~budget =
+let deciding_rules_of perm ids ~budget =
   let seen = Hashtbl.create 8 in
   let deciding id =
     match Perm.deciding_rule perm Privilege.Read id with
@@ -386,7 +338,7 @@ let deciding_rules_of t perm ids ~budget =
       match deciding id with
       | Some (r : Rule.t) when not (Hashtbl.mem seen r.Rule.priority) ->
         Hashtbl.add seen r.Rule.priority ();
-        go (budget - 1) (rule_desc t r :: acc) rest
+        go (budget - 1) (r.Rule.notation :: acc) rest
       | _ -> go (budget - 1) acc rest)
   in
   go budget [] ids
@@ -420,7 +372,7 @@ let query t ~user q =
          ~states:s.Xpath.Compile.states ~visited:s.Xpath.Compile.visited
          ~pruned:s.Xpath.Compile.pruned
          ~answers:(Lazy.force answers)
-         ~rules:(deciding_rules_of t (Session.perm e.cls.rep) ids ~budget:16)
+         ~rules:(deciding_rules_of (Session.perm e.cls.rep) ids ~budget:16)
          ~cls:e.cls.profile ~seconds)
   | None -> ());
   if Obs.Audit.enabled () then

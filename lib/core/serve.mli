@@ -45,9 +45,11 @@ val pool : t -> Pool.t
 val persist : t -> Store.t option
 
 val login : t -> user:string -> unit
-(** Registers a session for [user]; already-logged users keep their
-    session (and its caches).  Joining an existing permission class costs
-    O(1) — conflict resolution runs only when [user]'s profile is new.
+(** [login_many t [ user ]]: registers a session for [user];
+    already-logged users keep their session (and its caches).  Joining an
+    existing permission class costs O(1) — conflict resolution runs only
+    when [user]'s profile is new, inline, since one task spawns no pool
+    domain.
     @raise Session.Unknown_user *)
 
 val login_many : t -> string list -> unit

@@ -103,9 +103,9 @@ type t = {
       (* user -> denial counts of trailing closed windows, newest first *)
   rule_last : (string, int) Hashtbl.t;  (* rule -> last deciding window *)
   alerts_tbl : (string * string, alert) Hashtbl.t;
-  mutable trans : transition list;  (* newest first, bounded *)
-  mutable trans_n : int;
-  mutable trans_dropped : int;
+  trans : transition Ring.t;
+      (* bounded only so a runaway stream cannot grow the timeline
+         without limit *)
   (* cumulative report (never windowed, never cleared by closes) *)
   users_tot : (string, user_tot) Hashtbl.t;
   prefixes_tot : (string, prefix_tot) Hashtbl.t;
@@ -126,9 +126,7 @@ let create ?(config = default_config) () =
     denial_hist = Hashtbl.create 16;
     rule_last = Hashtbl.create 16;
     alerts_tbl = Hashtbl.create 8;
-    trans = [];
-    trans_n = 0;
-    trans_dropped = 0;
+    trans = Ring.create max_transitions;
     users_tot = Hashtbl.create 16;
     prefixes_tot = Hashtbl.create 16;
   }
@@ -171,15 +169,7 @@ let window_of t mono = int_of_float (Float.floor (mono /. t.config.window))
 (* --- alert engine (all called with the lock held) ---------------------- *)
 
 let push_transition t tr =
-  if t.trans_n >= max_transitions then begin
-    (* drop the oldest; the bound only exists so a runaway stream cannot
-       grow the timeline without limit *)
-    t.trans <- (match List.rev t.trans with _ :: r -> List.rev r | [] -> []);
-    t.trans_n <- t.trans_n - 1;
-    t.trans_dropped <- t.trans_dropped + 1
-  end;
-  t.trans <- tr :: t.trans;
-  t.trans_n <- t.trans_n + 1;
+  Ring.add t.trans tr;
   if tr.t_state = Firing then
     Metrics.inc (Metrics.labels f_alerts [ tr.t_detector ])
 
@@ -491,11 +481,7 @@ let alerts t =
       | c -> c)
     l
 
-let transitions t =
-  Mutex.lock t.lock;
-  let l = List.rev t.trans in
-  Mutex.unlock t.lock;
-  l
+let transitions t = Ring.to_list t.trans
 
 let open_window t =
   Mutex.lock t.lock;

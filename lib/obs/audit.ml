@@ -13,24 +13,9 @@ type event = {
   detail : string;
 }
 
-type t = {
-  lock : Mutex.t;
-      (* serialises ring mutation: decisions are recorded from every
-         Core.Pool worker domain during parallel fan-outs *)
-  mutable capacity : int;
-  ring : event Queue.t;
-  mutable seen : int;
-  mutable sink : (event -> unit) option;
-  mutable taps : (string * (event -> unit)) list;
-      (* named observers running after the sink: the sink slot belongs
-         to the durable journal, taps let the anomaly engine (and tests)
-         ride alongside without displacing it *)
-}
+type t = event Ring.t
 
-let create ?(capacity = 1024) () =
-  if capacity < 1 then invalid_arg "Obs.Audit.create: capacity < 1";
-  { lock = Mutex.create (); capacity; ring = Queue.create (); seen = 0;
-    sink = None; taps = [] }
+let create ?(capacity = 1024) () = Ring.create capacity
 
 let default = create ()
 
@@ -38,69 +23,31 @@ let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
-let set_capacity t capacity =
-  if capacity < 1 then invalid_arg "Obs.Audit.set_capacity: capacity < 1";
-  Mutex.lock t.lock;
-  t.capacity <- capacity;
-  while Queue.length t.ring > capacity do
-    ignore (Queue.pop t.ring)
-  done;
-  Mutex.unlock t.lock
-
-let capacity t = t.capacity
-let set_sink t sink = t.sink <- sink
-
-let set_tap t ~name tap =
-  Mutex.lock t.lock;
-  let rest = List.filter (fun (n, _) -> n <> name) t.taps in
-  t.taps <- (match tap with None -> rest | Some f -> (name, f) :: rest);
-  Mutex.unlock t.lock
+let set_capacity = Ring.set_capacity
+let capacity = Ring.capacity
+let set_sink = Ring.set_sink
+let set_tap = Ring.set_tap
 
 let record t ~user ~action ?(privilege = "") ?(target = "") ?(rule = "")
     ?(detail = "") decision =
   (* Wall time is display-only; ordering and intervals come from the
      monotonic clock, which an NTP step cannot reorder. *)
   let time = Unix.gettimeofday () and mono = Mono.now () in
-  Mutex.lock t.lock;
-  let event =
-    {
-      seq = t.seen;
-      time;
-      mono;
-      user;
-      action;
-      privilege;
-      target;
-      decision;
-      rule;
-      detail;
-    }
-  in
-  t.seen <- t.seen + 1;
-  Queue.push event t.ring;
-  if Queue.length t.ring > t.capacity then ignore (Queue.pop t.ring);
-  let sink = t.sink and taps = t.taps in
-  Mutex.unlock t.lock;
-  (* Sink and taps outside the lock: a slow journal or detector must not
-     stall recorders on other domains. *)
-  (match sink with None -> () | Some f -> f event);
-  List.iter (fun (_, f) -> f event) taps;
+  ignore
+    (Ring.push t (fun seq ->
+         { seq; time; mono; user; action; privilege; target; decision; rule;
+           detail }));
   if Timeseries.enabled () then
     Timeseries.bump Timeseries.default ~now:mono
       (match decision with
        | Allowed -> "audit_allow"
        | Denied -> "audit_deny")
 
-let events t = List.of_seq (Queue.to_seq t.ring)
-let length t = Queue.length t.ring
-let seen t = t.seen
-let dropped t = t.seen - Queue.length t.ring
-
-let clear t =
-  Mutex.lock t.lock;
-  Queue.clear t.ring;
-  t.seen <- 0;
-  Mutex.unlock t.lock
+let events = Ring.to_list
+let length = Ring.length
+let seen = Ring.seen
+let dropped = Ring.dropped
+let clear = Ring.clear
 
 let decision_to_string = function Allowed -> "allow" | Denied -> "deny"
 

@@ -1,5 +1,5 @@
-(** Security audit log: a bounded in-memory ring of access decisions plus
-    an optional sink.
+(** Security audit log: a bounded in-memory {!Ring} of access decisions
+    plus its observers.
 
     Recording is off by default; every instrumented call site guards on
     {!enabled} before building an event, so a disabled log costs a single
@@ -7,7 +7,7 @@
     pipeline takes — privilege checks with their deciding rule, query
     evaluations, logins, denied or downgraded secure updates — lands in
     the ring (oldest events dropped past {!capacity}) and is offered to
-    the sink. *)
+    the sink, then the taps. *)
 
 type decision = Allowed | Denied
 
@@ -49,15 +49,10 @@ val set_capacity : t -> int -> unit
 val capacity : t -> int
 
 val set_sink : t -> (event -> unit) option -> unit
-(** [Some f] offers every recorded event to [f] (after ring insertion);
-    [None] restores the default no-op sink. *)
+(** The sink slot ({!Ring.set_sink}) belongs to the durable journal. *)
 
 val set_tap : t -> name:string -> (event -> unit) option -> unit
-(** Registers (or, with [None], removes) a named observer that runs
-    after the sink on every recorded event.  The single sink slot
-    belongs to the durable journal; taps let consumers like
-    {!Anomaly} ride alongside without displacing it.  Re-registering a
-    name replaces it.  Taps run outside the ring lock. *)
+(** Named observers ({!Ring.set_tap}) after the sink, e.g. {!Anomaly}'s. *)
 
 val record :
   t ->

@@ -32,12 +32,8 @@ let enabled () = Atomic.get enabled_flag
 
 let default_capacity = 4096
 
-let lock = Mutex.create ()
-let ring : event Queue.t = Queue.create ()
-let capacity = ref default_capacity
-let seen = ref 0
-let next_id = ref 0
-let sink : (event -> unit) option ref = ref None
+(* Event ids are the ring's sequence numbers, 1-based. *)
+let ring : event Ring.t = Ring.create default_capacity
 
 let txn_counter = Atomic.make 0
 let next_txn () = 1 + Atomic.fetch_and_add txn_counter 1
@@ -54,25 +50,10 @@ let with_txn txn f =
 
 let set_capacity n =
   if n <= 0 then invalid_arg "Obs.Events.set_capacity";
-  Mutex.lock lock;
-  capacity := n;
-  while Queue.length ring > n do
-    ignore (Queue.pop ring)
-  done;
-  Mutex.unlock lock
+  Ring.set_capacity ring n
 
-let set_sink s = sink := s
-
-(* Named observers running after the sink — same contract as
-   Audit.set_tap: the sink slot stays free for streaming exports while
-   the anomaly engine listens for aborts. *)
-let taps : (string * (event -> unit)) list ref = ref []
-
-let set_tap ~name tap =
-  Mutex.lock lock;
-  let rest = List.filter (fun (n, _) -> n <> name) !taps in
-  taps := (match tap with None -> rest | Some f -> (name, f) :: rest);
-  Mutex.unlock lock
+let set_sink s = Ring.set_sink ring s
+let set_tap ~name tap = Ring.set_tap ring ~name tap
 
 let emit ?txn kind =
   if Atomic.get enabled_flag then begin
@@ -80,18 +61,7 @@ let emit ?txn kind =
     (* Wall time is kept for display; ordering and intervals come from
        the monotonic clock, immune to NTP steps. *)
     let time = Unix.gettimeofday () and mono = Mono.now () in
-    Mutex.lock lock;
-    incr next_id;
-    let e = { id = !next_id; txn; time; mono; kind } in
-    incr seen;
-    Queue.push e ring;
-    if Queue.length ring > !capacity then ignore (Queue.pop ring);
-    let tap_list = !taps in
-    Mutex.unlock lock;
-    (* Sink and taps outside the lock: a slow sink (stderr, file) must
-       not stall emitters on other domains. *)
-    (match !sink with None -> () | Some f -> f e);
-    List.iter (fun (_, f) -> f e) tap_list;
+    ignore (Ring.push ring (fun seq -> { id = seq + 1; txn; time; mono; kind }));
     if Timeseries.enabled () then
       match kind with
       | Commit _ -> Timeseries.bump Timeseries.default ~now:mono "txn_commit"
@@ -99,32 +69,11 @@ let emit ?txn kind =
       | _ -> ()
   end
 
-let events () =
-  Mutex.lock lock;
-  let l = List.of_seq (Queue.to_seq ring) in
-  Mutex.unlock lock;
-  l
-
+let events () = Ring.to_list ring
 let by_txn txn = List.filter (fun e -> e.txn = txn) (events ())
-
-let length () =
-  Mutex.lock lock;
-  let n = Queue.length ring in
-  Mutex.unlock lock;
-  n
-
-let dropped () =
-  Mutex.lock lock;
-  let d = !seen - Queue.length ring in
-  Mutex.unlock lock;
-  d
-
-let clear () =
-  Mutex.lock lock;
-  Queue.clear ring;
-  seen := 0;
-  next_id := 0;
-  Mutex.unlock lock
+let length () = Ring.length ring
+let dropped () = Ring.dropped ring
+let clear () = Ring.clear ring
 
 let kind_name = function
   | Txn_begin _ -> "txn_begin"

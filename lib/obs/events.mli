@@ -1,6 +1,6 @@
 (** Structured transaction event log.
 
-    A bounded, mutex-guarded ring of typed events, each carrying a
+    A bounded {!Ring} of typed events, each carrying a
     per-transaction {e correlation id}: one id is allocated when a
     transaction enters the pipeline and every event the transaction
     causes — staging, denial, journal append, fsync, snapshot, commit,
@@ -78,17 +78,15 @@ val set_capacity : int -> unit
 (** @raise Invalid_argument on a non-positive capacity. *)
 
 val set_sink : (event -> unit) option -> unit
-(** Streams every recorded event (called outside the ring lock), e.g.
+(** The ring's sink slot ({!Ring.set_sink}), e.g.
     [set_sink (Some (jsonl_sink stderr))]. *)
 
 val jsonl_sink : out_channel -> event -> unit
 (** One JSON object per line; pair with {!set_sink}. *)
 
 val set_tap : name:string -> (event -> unit) option -> unit
-(** Registers (or, with [None], removes) a named observer that runs
-    after the sink on every emitted event — how {!Anomaly} listens for
-    aborts without occupying the sink slot.  Re-registering a name
-    replaces it; taps run outside the ring lock. *)
+(** Named observers ({!Ring.set_tap}) after the sink — how {!Anomaly}
+    listens for aborts without occupying the sink slot. *)
 
 (** {1 Queries} *)
 

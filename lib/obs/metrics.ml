@@ -28,6 +28,11 @@ type family = {
 let bucket_bounds =
   Array.init 24 (fun i -> 1e-6 *. Float.of_int (1 lsl i))
 
+let bucket_index v =
+  let n = Array.length bucket_bounds in
+  let rec slot i = if i >= n || v <= bucket_bounds.(i) then i else slot (i + 1) in
+  slot 0
+
 type histogram = {
   h_name : string;
   h_help : string;
@@ -202,9 +207,7 @@ let histogram ?(help = "") t name =
     h
 
 let observe h v =
-  let n = Array.length bucket_bounds in
-  let rec slot i = if i >= n || v <= bucket_bounds.(i) then i else slot (i + 1) in
-  let i = slot 0 in
+  let i = bucket_index v in
   locked h.h_lock @@ fun () ->
   h.h_counts.(i) <- h.h_counts.(i) + 1;
   h.h_sum <- h.h_sum +. v;

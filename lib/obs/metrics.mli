@@ -100,6 +100,14 @@ val buckets : histogram -> (float * int) list
 (** Cumulative [(upper_bound_seconds, count)] pairs, +Inf last
     (represented as [infinity]). *)
 
+val bucket_bounds : float array
+(** The ladder's finite upper bounds (read-only), shared with
+    {!Timeseries}' sketches. *)
+
+val bucket_index : float -> int
+(** The ladder bucket a value falls in; [Array.length bucket_bounds] is
+    the overflow bucket. *)
+
 val time : histogram -> (unit -> 'a) -> 'a
 (** Runs the thunk and observes its duration on the monotonic clock;
     observes even when the thunk raises. *)

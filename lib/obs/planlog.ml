@@ -6,7 +6,7 @@
    product states the traversal needed, how many nodes it visited and
    how many it pruned by ordpath contiguity, the deciding-rule set for
    the answers, the permission class, and the latency measured on the
-   monotonic clock — into a bounded mutex-guarded ring.  Plans slower
+   monotonic clock — into a bounded ring.  Plans slower
    than the configurable threshold are additionally retained in a
    dedicated slow ring, so a burst of fast queries cannot evict the
    evidence of a slow one. *)
@@ -42,64 +42,34 @@ let threshold () = Atomic.get threshold_cell
 
 let default_capacity = 256
 
-let lock = Mutex.create ()
-let recent_ring : plan Queue.t = Queue.create ()
-let slow_ring : plan Queue.t = Queue.create ()
-let capacity = ref default_capacity
-let seen_count = ref 0
+(* Plan [seq]s come from the recent ring; the slow ring keeps the
+   plans at or above the threshold, stamped as recorded. *)
+let recent_ring : plan Ring.t = Ring.create default_capacity
+let slow_ring : plan Ring.t = Ring.create default_capacity
 
 let set_capacity n =
   if n <= 0 then invalid_arg "Obs.Planlog.set_capacity";
-  Mutex.lock lock;
-  capacity := n;
-  let trim q =
-    while Queue.length q > n do
-      ignore (Queue.pop q)
-    done
-  in
-  trim recent_ring;
-  trim slow_ring;
-  Mutex.unlock lock
+  Ring.set_capacity recent_ring n;
+  Ring.set_capacity slow_ring n
 
 let record ~user ~query ~compiled ~anchors ~states ~visited ~pruned
     ~answers ~rules ~cls ~seconds =
   let time = Unix.gettimeofday () and mono = Mono.now () in
-  Mutex.lock lock;
   let p =
-    { seq = !seen_count; time; mono; user; query; compiled; anchors; states;
-      visited; pruned; answers; rules; cls; seconds }
+    Ring.push recent_ring (fun seq ->
+        { seq; time; mono; user; query; compiled; anchors; states; visited;
+          pruned; answers; rules; cls; seconds })
   in
-  incr seen_count;
-  let push q =
-    Queue.push p q;
-    if Queue.length q > !capacity then ignore (Queue.pop q)
-  in
-  push recent_ring;
-  if seconds >= Atomic.get threshold_cell then push slow_ring;
-  Mutex.unlock lock;
+  if seconds >= Atomic.get threshold_cell then Ring.add slow_ring p;
   p
 
-let snapshot q =
-  Mutex.lock lock;
-  let l = List.of_seq (Queue.to_seq q) in
-  Mutex.unlock lock;
-  l
-
-let recent () = snapshot recent_ring
-let slow () = snapshot slow_ring
-
-let seen () =
-  Mutex.lock lock;
-  let n = !seen_count in
-  Mutex.unlock lock;
-  n
+let recent () = Ring.to_list recent_ring
+let slow () = Ring.to_list slow_ring
+let seen () = Ring.seen recent_ring
 
 let clear () =
-  Mutex.lock lock;
-  Queue.clear recent_ring;
-  Queue.clear slow_ring;
-  seen_count := 0;
-  Mutex.unlock lock
+  Ring.clear recent_ring;
+  Ring.clear slow_ring
 
 let plan_name p =
   if not p.compiled then "fallback"

@@ -7,7 +7,7 @@
     automaton product-state count, nodes visited and pruned by ordpath
     contiguity, the deciding-rule set over the answers, the permission
     class, and the latency from the monotonic clock — into a bounded
-    mutex-guarded ring.  Plans at or above the configurable latency
+    {!Ring}.  Plans at or above the configurable latency
     {!threshold} are additionally retained in a dedicated slow ring
     (what [/slowz] and [xmlsecu slow] serve), so fast traffic cannot
     evict the evidence of a slow query.

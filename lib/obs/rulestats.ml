@@ -52,8 +52,6 @@ let register ~key ~privilege ~desc =
         Hashtbl.add rules key e;
         e)
 
-let find ~key = locked (fun () -> Hashtbl.find_opt rules key)
-
 let add_matched e n = if n > 0 then ignore (Atomic.fetch_and_add e.matched n)
 let add_decided e n = if n > 0 then ignore (Atomic.fetch_and_add e.decided n)
 

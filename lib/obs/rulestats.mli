@@ -24,10 +24,6 @@ val register : key:int -> privilege:string -> desc:string -> entry
 (** Idempotent by [key] (the rule priority): re-registering returns the
     existing cell, so cumulative counts survive re-resolution. *)
 
-val find : key:int -> entry option
-(** The already-registered cell, if any — lets hot call sites skip
-    building [register]'s description on re-resolution. *)
-
 val add_matched : entry -> int -> unit
 (** The rule's path selected [n] more nodes (whether or not it won). *)
 

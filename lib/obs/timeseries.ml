@@ -7,12 +7,11 @@
    rotation; reading the series ([windows], [to_json]) observes, it
    never advances. *)
 
-(* Same log2 ladder as the Metrics histograms: powers of two from 1µs to
-   ~8s.  A sketch is a fixed histogram, so merging two windows is an
-   element-wise add and a quantile is a cumulative walk — no stored
-   samples, O(1) memory per (window, series). *)
-let bucket_bounds = Array.init 24 (fun i -> 1e-6 *. Float.of_int (1 lsl i))
-let n_buckets = Array.length bucket_bounds + 1 (* + overflow *)
+(* Sketches bucket on the Metrics histograms' log2 ladder: a sketch is a
+   fixed histogram, so merging two windows is an element-wise add and a
+   quantile is a cumulative walk — no stored samples, O(1) memory per
+   (window, series). *)
+let n_buckets = Array.length Metrics.bucket_bounds + 1 (* + overflow *)
 
 type sketch = {
   mutable s_count : int;
@@ -145,14 +144,6 @@ let bump t ?now ?(n = 1) series =
      | None -> Hashtbl.replace slot.s_counters series (ref n)));
   Mutex.unlock t.lock
 
-let bucket_of v =
-  let rec go i =
-    if i >= Array.length bucket_bounds then i
-    else if v <= bucket_bounds.(i) then i
-    else go (i + 1)
-  in
-  go 0
-
 let observe t ?now series v =
   let now = match now with Some x -> x | None -> Mono.now () in
   Mutex.lock t.lock;
@@ -171,7 +162,7 @@ let observe t ?now series v =
      in
      sk.s_count <- sk.s_count + 1;
      sk.s_sum <- sk.s_sum +. v;
-     let b = bucket_of v in
+     let b = Metrics.bucket_index v in
      sk.s_buckets.(b) <- sk.s_buckets.(b) + 1);
   Mutex.unlock t.lock
 
@@ -250,8 +241,8 @@ let quantile v q =
       cum := !cum + v.buckets.(!i);
       if !cum >= target then
         res :=
-          (if !i < Array.length bucket_bounds then bucket_bounds.(!i)
-           else 2. *. bucket_bounds.(Array.length bucket_bounds - 1));
+          (if !i < n_buckets - 1 then Metrics.bucket_bounds.(!i)
+           else 2. *. Metrics.bucket_bounds.(n_buckets - 2));
       incr i
     done;
     if Float.is_nan !res then 0. else !res

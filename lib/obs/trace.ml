@@ -21,26 +21,11 @@ let stack () = Domain.DLS.get stack_key
 
 let max_roots = 256
 
-(* Finished roots live in a fixed circular buffer shared across
-   domains; the mutex serialises pushes.  A saturated buffer must stay
-   O(1) per close — a traced server closes one root per request, and an
-   earlier list-based trim rebuilt all [max_roots] cells on every close
-   once full, which E18 measured as double-digit overhead. *)
-let finished_lock = Mutex.create ()
-let ring : span option array = Array.make max_roots None
-let head = ref 0 (* next write position *)
-let count = ref 0
-let dropped_count = ref 0
+(* Finished roots, shared across domains. *)
+let finished : span Ring.t = Ring.create max_roots
 
-let dropped () = !dropped_count
-
-let clear () =
-  Mutex.lock finished_lock;
-  Array.fill ring 0 max_roots None;
-  head := 0;
-  count := 0;
-  dropped_count := 0;
-  Mutex.unlock finished_lock
+let dropped () = Ring.dropped finished
+let clear () = Ring.clear finished
 
 let close span =
   span.elapsed <- Mono.now () -. span.start;
@@ -48,14 +33,7 @@ let close span =
   span.meta <- List.rev span.meta;
   match !(stack ()) with
   | parent :: _ -> parent.children <- span :: parent.children
-  | [] ->
-    Mutex.lock finished_lock;
-    (match ring.(!head) with
-     | Some _ -> incr dropped_count (* overwrote the oldest root *)
-     | None -> incr count);
-    ring.(!head) <- Some span;
-    head := (!head + 1) mod max_roots;
-    Mutex.unlock finished_lock
+  | [] -> Ring.add finished span
 
 let with_span name f =
   if not (Atomic.get enabled_flag) then f ()
@@ -88,18 +66,7 @@ let annotate key value =
     | [] -> ()
     | span :: _ -> span.meta <- (key, value) :: span.meta
 
-let roots () =
-  Mutex.lock finished_lock;
-  let n = !count in
-  let start = (!head - n + max_roots) mod max_roots in
-  let out =
-    List.init n (fun i ->
-        match ring.((start + i) mod max_roots) with
-        | Some s -> s
-        | None -> assert false)
-  in
-  Mutex.unlock finished_lock;
-  out
+let roots () = Ring.to_list finished
 
 let to_string span =
   let buf = Buffer.create 256 in

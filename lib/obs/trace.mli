@@ -5,7 +5,7 @@
     boolean load and the direct call of the thunk — no allocation, no
     clock read.  When enabled, spans nest along the dynamic extent of
     {!with_span} calls, closed spans attach to their parent (or to a
-    bounded list of completed root spans), and {!annotate} hangs
+    {!Ring} of completed root spans), and {!annotate} hangs
     key/value metadata on the innermost open span. *)
 
 type span = {
@@ -35,6 +35,7 @@ val roots : unit -> span list
 val max_roots : int
 
 val dropped : unit -> int
+(** Roots overwritten since the last {!clear}. *)
 
 val clear : unit -> unit
 (** Forgets completed roots and the dropped count (open spans are

@@ -18,21 +18,24 @@ type context = {
   size : int;
 }
 
-(* Axis enumeration, in axis order (reverse axes nearest-first).
-
-   The store keeps attribute nodes as children of their element, but in the
-   XPath data model attributes (and their text values) are reachable only
-   through the [attribute] axis, so the tree axes filter them out. *)
-let axis_nodes env axis id : Xmldoc.Node.t list =
-  let src = env.src in
-  let in_tree (n : Xmldoc.Node.t) =
-    n.kind <> Xmldoc.Node.Attribute
-    &&
+(* The store keeps attribute nodes as children of their element, but in
+   the XPath data model attributes (and their text values) are reachable
+   only through the [attribute] axis, so the tree axes filter them out.
+   An attribute's only children are text nodes ({!Xmldoc.Invariants}), so
+   only a text candidate needs its parent looked up. *)
+let in_tree src (n : Xmldoc.Node.t) =
+  match n.kind with
+  | Xmldoc.Node.Attribute -> false
+  | Xmldoc.Node.Text -> (
     match src.Source.parent n.id with
     | Some p -> p.kind <> Xmldoc.Node.Attribute
-    | None -> true
-  in
-  let tree = List.filter in_tree in
+    | None -> true)
+  | Xmldoc.Node.Document | Xmldoc.Node.Element | Xmldoc.Node.Comment -> true
+
+(* Axis enumeration, in axis order (reverse axes nearest-first). *)
+let axis_nodes env axis id : Xmldoc.Node.t list =
+  let src = env.src in
+  let tree = List.filter (in_tree src) in
   match axis with
   | Child -> tree (src.Source.children id)
   | Descendant -> tree (src.Source.descendants id)
@@ -166,18 +169,15 @@ and eval_step env start { axis; test; preds } =
   let candidates =
     (* Descendant name-tests answer from the source's per-label index:
        the index is in document order (= axis order for the downward
-       axes), so predicate numbering is unaffected.  The subtree and
-       [in_tree] checks reapply the axis semantics the slow path gets
-       from [axis_nodes]. *)
+       axes), so predicate numbering is unaffected.  The subtree check
+       reapplies the axis semantics the slow path gets from
+       [axis_nodes]; an element is always [in_tree]. *)
     match axis, test with
     | (Descendant | Descendant_or_self), Name name ->
       let or_self = axis = Descendant_or_self in
       List.filter
         (fun (n : Xmldoc.Node.t) ->
           n.kind = Xmldoc.Node.Element
-          && (match env.src.Source.parent n.id with
-              | Some p -> p.kind <> Xmldoc.Node.Attribute
-              | None -> true)
           && ((or_self && Ordpath.equal n.id start)
              || (not (Ordpath.equal n.id start)
                 && Ordpath.is_ancestor ~ancestor:start n.id)))
@@ -388,13 +388,7 @@ let matches env expr id =
    tree axes (child/descendant) skip attribute nodes and their text
    children (the [in_tree] filter of [axis_nodes]). *)
 let matches_down src expr id =
-  let in_tree (n : Xmldoc.Node.t) =
-    n.kind <> Xmldoc.Node.Attribute
-    &&
-    match src.Source.parent n.id with
-    | Some p -> p.kind <> Xmldoc.Node.Attribute
-    | None -> true
-  in
+  let in_tree = in_tree src in
   (* [steps_match rev_steps id]: does [id] end a chain consuming all the
      steps, starting from the document node? *)
   let rec steps_match rev_steps id =

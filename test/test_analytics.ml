@@ -447,6 +447,20 @@ let prop_replay_identity =
       Anomaly.finalize b;
       Anomaly.to_json a = Anomaly.to_json b)
 
+(* The alert timeline is bounded at 8192 transitions: 9000 users each
+   firing one denial spike in the same window overflow it, and it keeps
+   the newest 8192, in order. *)
+let test_timeline_bound () =
+  let t = Anomaly.create ~config:{ cfg with spike_min = 1 } () in
+  let user i = Printf.sprintf "u%05d" i in
+  feed t (List.init 9000 (fun i -> ev ~user:(user i) 0.5));
+  feed t [ ev ~decision:Audit.Allowed 1.5 ] (* closes window 0 *);
+  let tl = Anomaly.transitions t in
+  Alcotest.(check int) "the timeline holds its bound" 8192 (List.length tl);
+  Alcotest.(check (list string)) "the newest transitions, in order"
+    (List.init 8192 (fun i -> "0 denial_spike " ^ user (808 + i) ^ " firing"))
+    (trans_strings t)
+
 let () =
   Alcotest.run "analytics"
     [
@@ -463,6 +477,8 @@ let () =
           Alcotest.test_case "resolve and re-fire episodes" `Quick
             test_refire_episodes;
           Alcotest.test_case "cumulative report" `Quick test_report;
+          Alcotest.test_case "bounded alert timeline" `Quick
+            test_timeline_bound;
         ] );
       ( "determinism",
         List.map QCheck_alcotest.to_alcotest

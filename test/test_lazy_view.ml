@@ -307,6 +307,64 @@ let prop_lazy_equals_materialized =
       let lv, view = lazy_and_oracle policy doc ~user:"u" in
       Core.Lazy_view.select_str lv q = Xpath.Eval.select_str view q)
 
+(* The tree axes leave attribute values (the text children of attribute
+   nodes) to the attribute axis on every source, and only a text
+   candidate is asked for its parent to tell: a positional child path
+   over elements makes no [parent] call on the map, the snapshot or the
+   lazy view. *)
+let test_attribute_values_off_tree () =
+  let doc =
+    Xml_parse.of_string
+      {|<r k="v0"><a k="v1">x<b k="v2">y</b></a><a k="v3"><b>z</b><b k="v4"/></a></r>|}
+  in
+  let values =
+    Document.fold
+      (fun (n : Node.t) acc ->
+        match Document.parent doc n.id with
+        | Some p when n.kind = Node.Text && p.kind = Node.Attribute ->
+          n.id :: acc
+        | _ -> acc)
+      doc []
+  in
+  Alcotest.(check int) "the document carries five attribute values" 5
+    (List.length values);
+  let nth_element id i = (List.nth (Document.element_children doc id) i).Node.id in
+  let r = nth_element Ordpath.document 0 in
+  let expected = [ Ordpath.to_string (nth_element (nth_element r 1) 0) ] in
+  let flat = Flat.of_document doc in
+  let policy =
+    Core.Policy_lang.parse
+      "user u\ngrant read on //node() to u priority 1\n\
+       grant read on //@* to u priority 2\n"
+  in
+  let lv =
+    Core.Lazy_view.of_session flat (Core.Session.login ~flat policy doc ~user:"u")
+  in
+  List.iter
+    (fun (name, (src : Xpath.Source.t)) ->
+      let calls = ref 0 in
+      let src =
+        { src with parent = (fun id -> incr calls; src.parent id) }
+      in
+      let select q =
+        Xpath.Eval.select (Xpath.Eval.env_of_source src)
+          (Xpath.Parser.parse_path q)
+      in
+      Alcotest.(check (list string))
+        (name ^ ": positional child path") expected
+        (List.map Ordpath.to_string (select "/r/*[2]/*[1]"));
+      Alcotest.(check int) (name ^ ": no parent lookup") 0 !calls;
+      List.iter
+        (fun q ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s returns no attribute value" name q)
+            false
+            (List.exists (fun id -> List.mem id values) (select q)))
+        [ "//node()"; "//text()"; "//@k/child::node()"; "/r/@k/node()" ])
+    [ ("map", Xpath.Source.of_document doc);
+      ("snapshot", Xpath.Source.of_flat flat);
+      ("lazy view", Core.Lazy_view.source lv) ]
+
 let () =
   Alcotest.run "lazy_view"
     [
@@ -319,6 +377,8 @@ let () =
           Alcotest.test_case "doctor" `Quick test_agreement_doctor;
           Alcotest.test_case "string values" `Quick test_string_values_match;
           Alcotest.test_case "snapshot source axes" `Quick test_snapshot_axes;
+          Alcotest.test_case "attribute values stay off the tree axes"
+            `Quick test_attribute_values_off_tree;
         ] );
       ( "laziness",
         [

@@ -449,6 +449,115 @@ let test_span_disabled_is_transparent () =
     (Obs.Trace.with_span "ignored" (fun () -> 7));
   Alcotest.(check int) "nothing recorded" 0 (List.length (Obs.Trace.roots ()))
 
+(* -- the shared ring ---------------------------------------------------- *)
+
+let test_ring_bounding () =
+  let r = Obs.Ring.create 3 in
+  let pushed = List.init 5 (fun i -> Obs.Ring.push r (fun seq -> (seq, i))) in
+  Alcotest.(check (list int)) "each record gets the next sequence number"
+    [ 0; 1; 2; 3; 4 ] (List.map fst pushed);
+  Alcotest.(check (list int)) "the newest records, oldest first" [ 2; 3; 4 ]
+    (List.map snd (Obs.Ring.to_list r));
+  Alcotest.(check int) "length bounded by capacity" 3 (Obs.Ring.length r);
+  Alcotest.(check int) "seen counts evicted records" 5 (Obs.Ring.seen r);
+  Alcotest.(check int) "dropped = seen - length" 2 (Obs.Ring.dropped r);
+  Alcotest.check_raises "capacity below 1 rejected"
+    (Invalid_argument "Obs.Ring.create: capacity < 1") (fun () ->
+      ignore (Obs.Ring.create 0))
+
+let test_ring_capacity_and_clear () =
+  let r = Obs.Ring.create 4 in
+  for i = 0 to 5 do ignore (Obs.Ring.push r (fun seq -> (seq, i))) done;
+  Obs.Ring.set_capacity r 2;
+  Alcotest.(check (list int)) "shrinking keeps the newest" [ 4; 5 ]
+    (List.map snd (Obs.Ring.to_list r));
+  Obs.Ring.set_capacity r 3;
+  ignore (Obs.Ring.push r (fun seq -> (seq, 6)));
+  Alcotest.(check (list (pair int int))) "growing keeps order and numbering"
+    [ (4, 4); (5, 5); (6, 6) ] (Obs.Ring.to_list r);
+  Alcotest.(check int) "capacity" 3 (Obs.Ring.capacity r);
+  Obs.Ring.set_capacity r 1;
+  Obs.Ring.add r (7, 7);
+  Alcotest.(check (list int)) "a one-cell ring holds the newest" [ 7 ]
+    (List.map snd (Obs.Ring.to_list r));
+  Alcotest.check_raises "capacity below 1 rejected"
+    (Invalid_argument "Obs.Ring.set_capacity: capacity < 1") (fun () ->
+      Obs.Ring.set_capacity r 0);
+  Obs.Ring.clear r;
+  Alcotest.(check int) "clear empties the ring" 0 (Obs.Ring.length r);
+  Alcotest.(check int) "clear resets seen" 0 (Obs.Ring.seen r);
+  Alcotest.(check int) "numbering restarts at 0" 0
+    (fst (Obs.Ring.push r (fun seq -> (seq, 8))))
+
+(* Four domains push while a fifth snapshots: every snapshot is in
+   sequence order and within capacity, and the pushers' numbers together
+   are 0 .. n-1, each once. *)
+let test_ring_concurrent () =
+  let capacity = 64 and per_domain = 5000 and pushers = 4 in
+  let r = Obs.Ring.create capacity in
+  let reading = Atomic.make false and stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let bad = ref 0 and snaps = ref 0 in
+        let rec ascending = function
+          | a :: (b :: _ as rest) -> a < b && ascending rest
+          | _ -> true
+        in
+        let rec read () =
+          let l = Obs.Ring.to_list r in
+          incr snaps;
+          if List.length l > capacity || not (ascending l) then incr bad;
+          Atomic.set reading true;
+          if not (Atomic.get stop) then read ()
+        in
+        read ();
+        (!bad, !snaps))
+  in
+  (* The pushers wait for the reader's first snapshot, so the reader
+     runs alongside their pushes. *)
+  let domains =
+    List.init pushers (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get reading) do Domain.cpu_relax () done;
+            List.init per_domain (fun _ -> Obs.Ring.push r Fun.id)))
+  in
+  let numbers = List.concat_map Domain.join domains in
+  Atomic.set stop true;
+  let bad, snaps = Domain.join reader in
+  Alcotest.(check bool) "the reader took snapshots" true (snaps > 0);
+  Alcotest.(check int) "every snapshot ascending and bounded" 0 bad;
+  Alcotest.(check (list int)) "no number lost or repeated"
+    (List.init (pushers * per_domain) Fun.id)
+    (List.sort compare numbers);
+  Alcotest.(check (list int)) "the ring ends on the newest numbers"
+    (List.init capacity (fun i -> (pushers * per_domain) - capacity + i))
+    (Obs.Ring.to_list r)
+
+let test_ring_observers () =
+  let r = Obs.Ring.create 2 in
+  let log = ref [] in
+  let note who x = log := (who, x) :: !log in
+  Obs.Ring.set_tap r ~name:"a" (Some (note "a"));
+  Obs.Ring.set_sink r (Some (note "sink"));
+  Obs.Ring.set_tap r ~name:"b" (Some (note "b"));
+  (* an observer reading its own ring must not deadlock: observers run
+     outside the lock *)
+  Obs.Ring.set_tap r ~name:"reader"
+    (Some (fun _ -> note "reader" (Obs.Ring.length r)));
+  ignore (Obs.Ring.push r (fun seq -> seq));
+  Alcotest.(check (list (pair string int))) "the sink first, then the taps"
+    [ ("sink", 0); ("a", 0); ("b", 0); ("reader", 1) ]
+    (List.rev !log);
+  log := [];
+  Obs.Ring.set_tap r ~name:"a" None;
+  Obs.Ring.set_tap r ~name:"b" (Some (note "b'"));
+  Obs.Ring.set_sink r None;
+  Obs.Ring.set_tap r ~name:"reader" None;
+  Obs.Ring.add r 7;
+  Alcotest.(check (list (pair string int)))
+    "removed observers stay silent, a replaced tap runs once"
+    [ ("b'", 7) ] (List.rev !log)
+
 (* -- audit ring --------------------------------------------------------- *)
 
 let test_audit_ring_bounding () =
@@ -1114,6 +1223,16 @@ let () =
           Alcotest.test_case "ring capacity" `Quick test_events_capacity;
           Alcotest.test_case "sink and json dumps" `Quick
             test_events_sink_and_json;
+        ] );
+      ( "ring",
+        [
+          Alcotest.test_case "bounding and numbering" `Quick
+            test_ring_bounding;
+          Alcotest.test_case "capacity changes and clear" `Quick
+            test_ring_capacity_and_clear;
+          Alcotest.test_case "concurrent pushes and snapshots" `Quick
+            test_ring_concurrent;
+          Alcotest.test_case "observers" `Quick test_ring_observers;
         ] );
       ( "audit",
         [
