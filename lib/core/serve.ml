@@ -42,10 +42,15 @@ type t = {
       (* frozen columnar snapshot of [source], republished with it on
          every commit (epoch-style): readers fold the arrays, the writer
          path mutates the map-backed store and freezes once per batch *)
+  writer : Mutex.t;
+      (* held for the whole of every commit, login and logout: one writer
+         at a time, so every class is on the published epoch whenever no
+         writer runs *)
   lock : Mutex.t;
-      (* guards [sessions]/[classes]/[plans] (and [source]/[writes]
-         writes): pool workers never touch the tables, but login can race
-         a broadcast snapshot *)
+      (* the short table lock readers take.  Only a writer changes
+         [sessions], [classes] and the published fields, always under
+         [lock] too, so the writer reads them without it; [plans] is
+         the readers' own *)
   sessions : (string, entry) Hashtbl.t;
   classes : (string, shared) Hashtbl.t;  (* Perm.profile -> shared state *)
   plans : (string, Rewrite.t) Hashtbl.t;
@@ -122,9 +127,7 @@ let m_class_merges =
     ~help:"Permission-equivalence classes merged by policy churn \
            (several old classes collapsed into one profile)"
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 (* Call with the lock held (or from single-threaded setup paths). *)
 let sync_gauges t =
@@ -155,6 +158,7 @@ let create ?pool ?persist policy source =
     clock = Policy.next_priority policy;
     source;
     flat = freeze source;
+    writer = Mutex.create ();
     lock = Mutex.create ();
     sessions = Hashtbl.create 8;
     classes = Hashtbl.create 8;
@@ -171,19 +175,16 @@ let check_known t ~user =
   if not (Subject.mem (Policy.subjects t.policy) user) then
     raise (Session.Unknown_user user)
 
-(* The (source, flat) pair must come from one consistent epoch — callers
-   either hold the lock or snapshot the pair with {!snapshot} first. *)
-let fresh_shared t ~source ~flat ~profile ~user =
-  let rep = Session.login ~flat t.policy source ~user in
+(* With the writer held: a class on the published epoch. *)
+let fresh_shared t ~profile ~user =
+  let rep = Session.login ~flat:t.flat t.policy t.source ~user in
   if Obs.Rulestats.enabled () then
     Obs.Rulestats.note_class ~profile
       ~keys:
         (List.map
            (fun (r : Rule.t) -> r.Rule.priority)
            (Policy.rules_for t.policy ~user));
-  { profile; rep; lazy_view = Lazy_view.of_session flat rep; members = 0 }
-
-let snapshot t = locked t (fun () -> (t.source, t.flat))
+  { profile; rep; lazy_view = Lazy_view.of_session t.flat rep; members = 0 }
 
 (* Call with the lock held: binds [user] to its class (which must be in
    [t.classes]). *)
@@ -193,17 +194,17 @@ let register t ~user cls =
     Obs.Rulestats.note_member ~profile:cls.profile;
   Hashtbl.replace t.sessions user { user; cls }
 
-(* Login-time fan-out: conflict resolution ([Perm.compute], inside
-   [Session.login]) is the expensive part and is needed once per NEW
-   permission class, not once per user — representative logins run on the
-   pool, then every fresh user binds to its class under the lock.
-   All-or-nothing: if any representative login raises, no fresh session
-   from this batch is registered. *)
-let login_many t users =
-  let users = List.sort_uniq String.compare users in
+(* Login-time fan-out, with the writer held: conflict resolution
+   ([Perm.compute], inside [Session.login]) is the expensive part and is
+   needed once per NEW permission class, not once per user —
+   representative logins run on the pool, then every fresh user binds to
+   its class under the lock.  All-or-nothing: if any representative
+   login raises, no fresh session from this batch is registered. *)
+let login_held t users =
   let fresh =
-    locked t (fun () ->
-        List.filter (fun u -> not (Hashtbl.mem t.sessions u)) users)
+    List.filter
+      (fun u -> not (Hashtbl.mem t.sessions u))
+      (List.sort_uniq String.compare users)
   in
   List.iter (fun user -> check_known t ~user) fresh;
   let profiles =
@@ -211,54 +212,32 @@ let login_many t users =
   in
   let need =
     let seen = Hashtbl.create 16 in
-    locked t (fun () ->
-        List.filter
-          (fun (_, p) ->
-            if Hashtbl.mem t.classes p || Hashtbl.mem seen p then false
-            else begin
-              Hashtbl.add seen p ();
-              true
-            end)
-          profiles)
+    List.filter
+      (fun (_, p) ->
+        if Hashtbl.mem t.classes p || Hashtbl.mem seen p then false
+        else begin
+          Hashtbl.add seen p ();
+          true
+        end)
+      profiles
   in
-  let arr = Array.of_list need in
-  let built = Array.make (Array.length arr) None in
-  let source, flat = snapshot t in
-  Pool.run t.pool
-    (List.init (Array.length arr) (fun i _slot ->
-         let user, profile = arr.(i) in
-         built.(i) <- Some (fresh_shared t ~source ~flat ~profile ~user)));
+  let built =
+    Pool.map t.pool (fun (user, profile) -> fresh_shared t ~profile ~user) need
+  in
   locked t (fun () ->
-      Array.iter
-        (function
-          | Some cls ->
-            if not (Hashtbl.mem t.classes cls.profile) then
-              Hashtbl.replace t.classes cls.profile cls
-          | None -> ())
-        built;
+      List.iter (fun cls -> Hashtbl.replace t.classes cls.profile cls) built;
       List.iter
         (fun (user, profile) ->
-          if not (Hashtbl.mem t.sessions user) then begin
-            let cls =
-              match Hashtbl.find_opt t.classes profile with
-              | Some cls -> cls
-              | None ->
-                (* the class was drained by a concurrent logout between
-                   the [need] probe and here: rebuild under the lock *)
-                let cls =
-                  fresh_shared t ~source:t.source ~flat:t.flat ~profile ~user
-                in
-                Hashtbl.replace t.classes profile cls;
-                cls
-            in
-            register t ~user cls
-          end)
+          register t ~user (Hashtbl.find t.classes profile))
         profiles;
       sync_gauges t)
+
+let login_many t users = Mutex.protect t.writer (fun () -> login_held t users)
 
 let login t ~user = login_many t [ user ]
 
 let logout t ~user =
+  Mutex.protect t.writer @@ fun () ->
   locked t (fun () ->
       (match Hashtbl.find_opt t.sessions user with
        | Some e ->
@@ -290,12 +269,20 @@ let fresh_priority t =
       t.clock <- p + 1;
       p)
 
+(* With the writer held: the user's entry, logging them in first. *)
+let entry_held t ~user =
+  match Hashtbl.find_opt t.sessions user with
+  | Some e -> e
+  | None ->
+    login_held t [ user ];
+    Hashtbl.find t.sessions user
+
+(* A logged-in user's read takes only the table lock; a first read logs
+   the user in, as a writer. *)
 let entry t ~user =
   match locked t (fun () -> Hashtbl.find_opt t.sessions user) with
   | Some e -> e
-  | None ->
-    login t ~user;
-    locked t (fun () -> Hashtbl.find t.sessions user)
+  | None -> Mutex.protect t.writer (fun () -> entry_held t ~user)
 
 let session t ~user = Session.impersonate (entry t ~user).cls.rep ~user
 let lazy_view t ~user = (entry t ~user).cls.lazy_view
@@ -384,6 +371,22 @@ let query t ~user q =
       Obs.Audit.Allowed;
   ids
 
+(* The one lazy-view rebase.  [delta] covers a class's decision changes
+   only while its rules were downward before ([was]) and after ([now]):
+   the oracle rests on the same locality argument as [Perm.update].  Any
+   other class's view widens to the whole document. *)
+let rebase_view ~was ~now lazy_view flat delta =
+  let delta =
+    if Session.policy_local was && Session.policy_local now then delta
+    else Delta.all
+  in
+  Obs.Metrics.inc
+    (match delta with
+     | Delta.All -> m_rebase_full
+     | Delta.Local _ -> m_rebase_incremental);
+  Obs.Trace.with_span "lazy_view.rebase" (fun () ->
+      Lazy_view.rebase lazy_view flat (Session.perm now) delta)
+
 let rebase_class ?slot ?txn ?matched ~flat source delta cls =
   Obs.Metrics.inc m_fanout;
   Obs.Trace.with_span "session.rebase" @@ fun () ->
@@ -391,35 +394,17 @@ let rebase_class ?slot ?txn ?matched ~flat source delta cls =
    | Some slot -> Obs.Trace.annotate "domain" (string_of_int slot)
    | None -> ());
   let session = Session.apply_delta ~flat ?matched cls.rep source delta in
-  Obs.Trace.annotate "user" (Session.user session);
-  (* apply_delta widens internally for non-local sessions; the lazy view
-     must be widened the same way, as its oracle depends on the same
-     locality argument. *)
-  let lazy_delta =
-    if Session.policy_local session then begin
-      Obs.Metrics.inc m_rebase_incremental;
-      Obs.Trace.annotate "mode" "incremental";
-      delta
-    end
-    else begin
-      Obs.Metrics.inc m_rebase_full;
-      Obs.Trace.annotate "mode" "full-refresh";
-      Delta.all
-    end
+  let user = Session.user session in
+  let mode =
+    if Session.policy_local session then "incremental" else "full-refresh"
   in
+  Obs.Trace.annotate "user" user;
+  Obs.Trace.annotate "mode" mode;
   (* Pool workers run on other domains, where the ambient correlation id
      is absent — the writer's id travels explicitly. *)
-  Obs.Events.emit ?txn
-    (Obs.Events.Rebase
-       {
-         user = Session.user session;
-         mode =
-           (if Session.policy_local session then "incremental"
-            else "full-refresh");
-       });
-  cls.rep <- session;
-  cls.lazy_view <-
-    Lazy_view.rebase cls.lazy_view flat (Session.perm session) lazy_delta
+  Obs.Events.emit ?txn (Obs.Events.Rebase { user; mode });
+  cls.lazy_view <- rebase_view ~was:cls.rep ~now:session cls.lazy_view flat delta;
+  cls.rep <- session
 
 type committed = {
   reports : Secure_update.report list;
@@ -446,15 +431,12 @@ type committed = {
        pure, so an old class that feeds several new profiles (a split)
        donates to each of them.
 
-   Group builds are pure and run on the pool, like login fan-outs.
+   Group builds are pure and run on the pool, like login fan-outs.  Runs
+   with the writer held, once the commit's epoch is published.
    [matched] is the document delta matched under the old policy. *)
-let rekey t ~txn ~flat ~source ~delta ~matched ~policy ~writer ~writer_cls
-    ~writer_pdelta =
+let rekey t ~txn ~delta ~matched ~writer ~writer_cls ~writer_pdelta =
   Obs.Trace.with_span "serve.rekey" @@ fun () ->
-  let entries =
-    locked t (fun () ->
-        Hashtbl.fold (fun _ e acc -> e :: acc) t.sessions [])
-  in
+  let policy = t.policy and flat = t.flat and source = t.source in
   let groups : (string, (string * shared) list ref) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -464,7 +446,7 @@ let rekey t ~txn ~flat ~source ~delta ~matched ~policy ~writer ~writer_cls
       match Hashtbl.find_opt groups profile with
       | Some l -> l := (e.user, e.cls) :: !l
       | None -> Hashtbl.add groups profile (ref [ (e.user, e.cls) ]))
-    entries;
+    (Hashtbl.fold (fun _ e acc -> e :: acc) t.sessions []);
   (* Old profile -> new profiles it feeds: an old class feeding several
      is a split. *)
   let feeds : (string, string list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -492,16 +474,12 @@ let rekey t ~txn ~flat ~source ~delta ~matched ~policy ~writer ~writer_cls
         if List.length olds > 1 then acc + 1 else acc)
       groups 0
   in
-  let writer_user = Session.user writer in
-  let writer_profile = Perm.profile policy ~user:writer_user in
+  let writer_profile = Perm.profile policy ~user:(Session.user writer) in
   let group_list =
     Hashtbl.fold (fun profile members acc -> (profile, !members) :: acc)
       groups []
   in
-  let arr = Array.of_list group_list in
-  let built = Array.make (Array.length arr) None in
-  let build i =
-    let profile, members = arr.(i) in
+  let build (profile, members) =
     Obs.Metrics.inc m_fanout;
     (* The lazy-view donor [old0] must be the class whose perm change the
        rebase delta actually covers: for the writer's group that is the
@@ -525,21 +503,9 @@ let rekey t ~txn ~flat ~source ~delta ~matched ~policy ~writer ~writer_cls
         (rep', pdelta, old0)
       end
     in
-    (* The two deltas cover the donor's decision changes only while its
-       rules were downward before and after: a non-local class re-resolves
-       everywhere. *)
-    let lazy_delta =
-      if Session.policy_local old0.rep && Session.policy_local rep' then
-        Delta.union delta pdelta
-      else Delta.all
-    in
-    Obs.Metrics.inc
-      (match lazy_delta with
-       | Delta.All -> m_rebase_full
-       | Delta.Local _ -> m_rebase_incremental);
     let lazy_view =
-      Obs.Trace.with_span "lazy_view.rebase" (fun () ->
-          Lazy_view.rebase old0.lazy_view flat (Session.perm rep') lazy_delta)
+      rebase_view ~was:old0.rep ~now:rep' old0.lazy_view flat
+        (Delta.union delta pdelta)
     in
     if Obs.Rulestats.enabled () then
       Obs.Rulestats.note_class ~profile
@@ -547,26 +513,22 @@ let rekey t ~txn ~flat ~source ~delta ~matched ~policy ~writer ~writer_cls
           (List.map
              (fun (r : Rule.t) -> r.Rule.priority)
              (Policy.rules_for policy ~user:(Session.user rep')));
-    built.(i) <- Some { profile; rep = rep'; lazy_view; members = 0 }
+    ({ profile; rep = rep'; lazy_view; members = 0 }, members)
   in
-  Pool.run t.pool (List.init (Array.length arr) (fun i _slot -> build i));
+  let built = Pool.map t.pool build group_list in
   locked t (fun () ->
       Hashtbl.reset t.classes;
       Hashtbl.reset t.sessions;
-      Array.iteri
-        (fun i cls ->
-          match cls with
-          | Some cls ->
-            let _, members = arr.(i) in
-            Hashtbl.replace t.classes cls.profile cls;
-            List.iter (fun (user, _) -> register t ~user cls) members
-          | None -> ())
+      List.iter
+        (fun (cls, members) ->
+          Hashtbl.replace t.classes cls.profile cls;
+          List.iter (fun (user, _) -> register t ~user cls) members)
         built;
       sync_gauges t);
   Obs.Metrics.add m_class_splits splits;
   Obs.Metrics.add m_class_merges merges;
   Obs.Events.emit ?txn
-    (Obs.Events.Rekey { classes = Array.length arr; splits; merges })
+    (Obs.Events.Rekey { classes = List.length built; splits; merges })
 
 (* Every mutation routes through here: one Txn.commit_ops staging the
    whole mixed batch on the writer's (lazy) view, then — only on success —
@@ -584,23 +546,20 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
      inside Store.append inherit it from the same scope. *)
   let txn = Obs.Events.next_txn () in
   Obs.Events.with_txn txn @@ fun () ->
-  let e = entry t ~user in
-  let rep, lazy_view = (e.cls.rep, e.cls.lazy_view) in
-  let staged_on = Session.source rep in
-  let published, published_flat, index =
-    locked t (fun () -> (t.source, t.flat, t.index))
-  in
-  (* A batch staged on the published document reads the writer class's
-     lazy view over the published snapshot: its first document op
-     selects there, and its policy ops re-resolve on the view's
-     snapshot. *)
-  let view =
-    if staged_on == published && Lazy_view.flat lazy_view == published_flat
-    then Some lazy_view
-    else None
-  in
+  Mutex.protect t.writer @@ fun () ->
+  let e = entry_held t ~user in
+  let cls = e.cls in
+  (* One writer at a time: every class is on the published epoch, so the
+     batch stages on the writer class's lazy view over the published
+     snapshot — its first document op selects there, and its policy ops
+     re-resolve on the view's snapshot. *)
+  assert (
+    Session.source cls.rep == t.source
+    && Lazy_view.flat cls.lazy_view == t.flat);
+  let index = t.index in
   match
-    Txn.commit_ops ~on_denial ?admin ?view (Session.impersonate rep ~user) ops
+    Txn.commit_ops ~on_denial ?admin ~view:cls.lazy_view
+      (Session.impersonate cls.rep ~user) ops
   with
   | Error _ as err -> err
   | Ok
@@ -621,18 +580,14 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
     (* The freeze runs outside the lock; the new epoch — map-backed
        store, columnar snapshot and (on churn) policy + timestamp clock
        — is published atomically under it.  A policy-only batch leaves
-       the document untouched and skips the re-freeze; a batch staged on
-       the published document splices the published snapshot along its
-       delta; anything else (a batch staged on an older epoch, a delta
-       that widened to everything) freezes the whole document. *)
+       the document untouched and skips the re-freeze; a local delta
+       splices the published snapshot along its roots. *)
     let flat' =
-      let published, flat = snapshot t in
-      if source' == published then flat
+      if source' == t.source then t.flat
       else
         match delta with
-        | Delta.Local roots when staged_on == published ->
-          freeze ~from:(flat, roots) source'
-        | Delta.Local _ | Delta.All -> freeze source'
+        | Delta.Local roots -> freeze ~from:(t.flat, roots) source'
+        | Delta.All -> freeze source'
     in
     locked t (fun () ->
         t.source <- source';
@@ -657,37 +612,23 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
          broadcast: every class is regrouped and rebased exactly once
          against the new (document, policy) epoch. *)
       Obs.Metrics.time h_broadcast (fun () ->
-          rekey t ~txn:(Some txn) ~flat:flat' ~source:source' ~delta
-            ~matched:(match_delta ()) ~policy:c.Txn.policy ~writer:session'
-            ~writer_cls:e.cls ~writer_pdelta:c.Txn.policy_delta)
+          rekey t ~txn:(Some txn) ~delta ~matched:(match_delta ())
+            ~writer:session' ~writer_cls:cls
+            ~writer_pdelta:c.Txn.policy_delta)
     else begin
       (* The writer's class is already rebased by the transaction (the
          staged session shares the class's decision profile); its lazy
          view and every other class get the merged delta. *)
-      e.cls.rep <-
-        Session.impersonate session' ~user:(Session.user e.cls.rep);
-      let lazy_delta =
-        if Session.policy_local session' then begin
-          Obs.Metrics.inc m_rebase_incremental;
-          delta
-        end
-        else begin
-          Obs.Metrics.inc m_rebase_full;
-          Delta.all
-        end
-      in
-      e.cls.lazy_view <-
-        Obs.Trace.with_span "lazy_view.rebase" (fun () ->
-            Lazy_view.rebase e.cls.lazy_view flat' (Session.perm session')
-              lazy_delta);
+      cls.lazy_view <-
+        rebase_view ~was:cls.rep ~now:session' cls.lazy_view flat' delta;
+      cls.rep <- Session.impersonate session' ~user:(Session.user cls.rep);
       (* Fan-out over a lock-free snapshot: classes are disjoint, so
          workers never contend; pool size 1 reproduces the sequential
          broadcast exactly. *)
       let others =
-        locked t (fun () ->
-            Hashtbl.fold
-              (fun _ cls acc -> if cls == e.cls then acc else cls :: acc)
-              t.classes [])
+        Hashtbl.fold
+          (fun _ other acc -> if other == cls then acc else other :: acc)
+          t.classes []
       in
       if reports <> [] then
         Obs.Metrics.time h_broadcast (fun () ->
@@ -700,9 +641,9 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
                 let matched = if others = [] then None else match_delta () in
                 Pool.run t.pool
                   (List.map
-                     (fun cls slot ->
+                     (fun other slot ->
                        rebase_class ~slot ~txn ?matched ~flat:flat' source'
-                         delta cls)
+                         delta other)
                      others)))
     end;
     let seconds = Obs.Mono.now () -. t0 in

@@ -24,16 +24,43 @@
     (see {!Txn.commit_ops}).  No class materialises its view; {!view}
     derives one on demand.  Classes whose rules are not downward
     ({!Session.policy_local}) transparently fall back to full
-    re-resolution on every write — same answers, no locality. *)
+    re-resolution on every write — same answers, no locality.
+
+    {2 Concurrency}
+
+    A server runs one writer at a time, as the paper's updates form one
+    serial chain from [db] to [dbnew].  The writer calls are
+    {!commit_ops} (so {!commit}, {!update} and {!update_all}),
+    {!login_many} (so {!login}), {!logout}, and the login that a first
+    {!query}, {!session}, {!lazy_view} or {!view} of a user performs.
+    Each holds the server's writer mutex for its whole run, so they run
+    one after another, and the journal's order is their publication
+    order.  Between writer calls every permission class is on the
+    published epoch: the published document with its frozen snapshot.
+
+    Every other call may run at any time, from any domain or thread, at
+    the same time as other calls and as a writer call: {!query},
+    {!session}, {!lazy_view} and {!view} of a logged-in user, {!users},
+    {!classes}, {!source}, {!policy}, {!writes} and {!fresh_priority}.
+    These reads take at most a short table lock and never wait for the
+    writer, except a read that logs its user in.  A read that overlaps a
+    commit answers on one published epoch, the one before the commit or
+    the one after it.
+
+    An observer that runs inside a writer call, on its thread (an audit
+    sink or tap, or an event tap), must not call a writer function of
+    the same server: the writer mutex is not reentrant, and the nested
+    call raises [Sys_error]. *)
 
 type t
 
 val create : ?pool:Pool.t -> ?persist:Store.t -> Policy.t -> Xmldoc.Document.t -> t
 (** [?pool] (default: {!Pool.of_env}, i.e. sequential unless [POOL_SIZE]
     says otherwise) runs the write-broadcast fan-out and {!login_many}
-    batches on its workers.  The session and class tables are
-    mutex-guarded; each class is still owned by one worker at a time, so
-    answers are identical for every pool size.
+    batches on its workers, inside the writer call that owns them.  Each
+    class is owned by one worker at a time and the workers never touch
+    the session and class tables, so answers are identical for every
+    pool size.
 
     [?persist] attaches a write-ahead journal: every committed batch is
     appended ({!Store.append}) before it becomes visible to readers, so

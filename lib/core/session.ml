@@ -171,12 +171,18 @@ let apply_policy ?(quiet = false) ?flat t policy =
     ({ t with policy; perm; local = Delta.local_rules rules }, delta)
   end
 
+(* An empty delta changed no document fact, so no decision either,
+   whatever the rules; any other delta of a non-downward session widens
+   to a full refresh. *)
 let apply_delta ?(quiet = false) ?flat ?matched t source delta =
   let count c = if not quiet then Obs.Metrics.inc c in
-  (match delta with
-   | Delta.All -> ()
-   | Delta.Local _ -> if not t.local then count m_delta_widened);
-  let delta = if t.local then delta else Delta.all in
+  let delta =
+    match delta with
+    | Delta.Local (_ :: _) when not t.local ->
+      count m_delta_widened;
+      Delta.all
+    | Delta.Local _ | Delta.All -> delta
+  in
   match delta with
   | Delta.All -> refresh ~quiet ?flat t source
   | Delta.Local [] ->

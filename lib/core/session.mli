@@ -64,7 +64,8 @@ val apply_delta :
     affected range.  Equivalent to [refresh t source] whenever [delta]
     covers the differences between the old and new source; sessions
     whose rules are not all downward (see {!policy_local}) silently
-    widen the delta and pay the full {!refresh}.  [?flat], when given,
+    widen a non-empty delta and pay the full {!refresh}.  An empty delta
+    never widens: an unchanged document cannot change a decision.  [?flat], when given,
     must be a frozen snapshot of the new source; without one
     (transaction staging) the range is re-resolved on the node map, and
     only a full {!refresh} freezes.  [?matched] is the commit's shared

@@ -598,6 +598,36 @@ let test_visibility_survival () =
   expect "document commit" ~kept:[] before;
   check_fresh "document commit"
 
+(* An unchanged document cannot change a decision.  A commit whose
+   document delta is empty — a policy-only batch, or a tolerated batch
+   whose every op was denied — re-resolves no class in full, not even a
+   patient's, whose $USER rule is not downward. *)
+let test_empty_delta_keeps_decisions () =
+  let module P = Core.Paper_example in
+  let serve = Core.Serve.create P.policy (P.document ()) in
+  Core.Serve.login_many serve [ P.laporte; P.beaufort; P.robert; P.franck ];
+  read_all serve;
+  let full =
+    Obs.Metrics.counter Obs.Metrics.default "session_refresh_full_total"
+  in
+  let commit what ?on_denial ops =
+    let before = Obs.Metrics.value full in
+    (match Core.Serve.commit_ops ?on_denial serve ~user:P.laporte ops with
+     | Ok _ -> ()
+     | Error e -> Alcotest.fail (Core.Txn.error_to_string e));
+    Alcotest.(check int) (what ^ ": no full refresh") before
+      (Obs.Metrics.value full);
+    Test_support.Snapshot_check.check_served what serve
+  in
+  commit "policy-only commit"
+    [ Core.Op.Policy
+        (Core.Op.Add_rule
+           (Core.Rule.v Core.Rule.Deny Core.Privilege.Update ~path:"//visit"
+              ~subject:"secretary" ~priority:(Core.Serve.fresh_priority serve)))
+    ];
+  commit "all-denied tolerated batch" ~on_denial:`Tolerate
+    [ Core.Op.Doc (Op.rename "/patients/franck" "x") ]
+
 (* ------------------------------------------------------------------ *)
 (* (d) every-byte-prefix recovery of a mixed journal                   *)
 (* ------------------------------------------------------------------ *)
@@ -879,6 +909,8 @@ let () =
             `Quick test_serve_split_merge;
           Alcotest.test_case "visibility survives write-rule commits only"
             `Quick test_visibility_survival;
+          Alcotest.test_case "empty deltas refresh no class"
+            `Quick test_empty_delta_keeps_decisions;
         ] );
       ( "recovery",
         [

@@ -9,7 +9,11 @@
        cases);
    (c) recovery — for {e every} byte-prefix of the journal,
        [Txn.recover] reproduces the exact document at the last commit
-       boundary inside the prefix, and re-resolved permissions agree. *)
+       boundary inside the prefix, and re-resolved permissions agree;
+   (d) concurrency — [Serve] runs one writer at a time: commits from
+       several domains all publish, in journal order; logins racing
+       commits all stay; and reads on other domains answer on one of the
+       published epochs. *)
 
 open Xmldoc
 module D = Document
@@ -640,6 +644,212 @@ let test_recovery_non_downward () =
   check_recovered ~p:off1 ~expected_seq:seq1 ~expected_doc:doc1 ~torn:0 r1;
   nd_perm_agreement r1.Core.Txn.doc doc1
 
+(* ------------------------------------------------------------------ *)
+(* (d) concurrency: one writer at a time                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Writers read, insert and update everywhere (one class); every other
+   user is staff with one rule of their own, so each is a class of its
+   own and every commit rebases it.  All rules are downward. *)
+let conc_policy ~writers ~others =
+  let user roles u = (Core.Subject.User, u, roles) in
+  let subjects =
+    Core.Subject.of_list
+      ([ (Core.Subject.Role, "staff", []);
+         (Core.Subject.Role, "writer", [ "staff" ]) ]
+      @ List.map (user [ "writer" ]) writers
+      @ List.map (user [ "staff" ]) others)
+  in
+  let rule d p path subject priority = Core.Rule.v d p ~path ~subject ~priority in
+  Core.Policy.v subjects
+    ([ rule Core.Rule.Accept Core.Privilege.Read "//node()" "staff" 1;
+       rule Core.Rule.Accept Core.Privilege.Insert "//node()" "writer" 2;
+       rule Core.Rule.Accept Core.Privilege.Update "//node()" "writer" 3 ]
+    @ List.mapi
+        (fun i u ->
+          rule Core.Rule.Deny Core.Privilege.Read (Printf.sprintf "//x%d" i) u
+            (10 + i))
+        others)
+
+(* One element per writer, for its appends. *)
+let conc_doc writers =
+  Xml_parse.of_string
+    (Printf.sprintf "<patients>%s</patients>"
+       (String.concat "" (List.map (Printf.sprintf "<%s/>") writers)))
+
+let item text = Tree.element "item" [ Tree.text text ]
+
+let commit_ok serve ~user ops =
+  match Core.Serve.commit_ops serve ~user ops with
+  | Ok _ -> ()
+  | Error e -> failwith (user ^ ": " ^ Core.Txn.error_to_string e)
+
+(* Issues a deny-read rule, or retracts the one issued last. *)
+let toggle serve toggled ~path ~subject =
+  match !toggled with
+  | Some priority ->
+    toggled := None;
+    Core.Op.Policy (Core.Op.Retract_rule { priority })
+  | None ->
+    let priority = Core.Serve.fresh_priority serve in
+    toggled := Some priority;
+    Core.Op.Policy
+      (Core.Op.Add_rule
+         (Core.Rule.v Core.Rule.Deny Core.Privilege.Read ~path ~subject
+            ~priority))
+
+(* Spawns one domain per task, all released at once. *)
+let all_at_once tasks =
+  let ready = Atomic.make 0 and n = List.length tasks in
+  List.map Domain.join
+    (List.map
+       (fun task ->
+         Domain.spawn (fun () ->
+             Atomic.incr ready;
+             while Atomic.get ready < n do Domain.cpu_relax () done;
+             task ()))
+       tasks)
+
+(* K domains commit disjoint one-node appends at once, with a journal.
+   Every acknowledged commit is published, in its writer's order; the
+   served classes follow the published epoch; and the journal recovers
+   the live document at the live seq. *)
+let test_concurrent_commits () =
+  let writers = List.init 4 (Printf.sprintf "w%d") in
+  let policy = conc_policy ~writers ~others:[ "r" ] in
+  let doc0 = conc_doc writers in
+  let dir = mk_temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let store = Store.open_dir dir in
+  Store.init store doc0;
+  let serve = Core.Serve.create ~persist:store policy doc0 in
+  Core.Serve.login_many serve ("r" :: writers);
+  let per_writer = 20 in
+  let acked =
+    all_at_once
+      (List.map
+         (fun user () ->
+           List.init per_writer (fun j ->
+               let text = Printf.sprintf "%s.%d" user j in
+               commit_ok serve ~user
+                 [ Core.Op.Doc (Op.append ("/patients/" ^ user) (item text)) ];
+               text))
+         writers)
+  in
+  let source = Core.Serve.source serve in
+  List.iter2
+    (fun user acked ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s's acknowledged commits are published, in order" user)
+        acked
+        (List.filter_map (D.label source)
+           (Xpath.Eval.select_str source
+              (Printf.sprintf "/patients/%s/item/text()" user))))
+    writers acked;
+  Test_support.Snapshot_check.check_served "concurrent commits" serve;
+  Store.close store;
+  let r = Core.Txn.recover policy dir in
+  Alcotest.(check int) "recovered seq = commits"
+    (List.length writers * per_writer)
+    r.Core.Txn.seq;
+  Alcotest.(check bool) "recovered document = live document" true
+    (D.equal r.Core.Txn.doc source)
+
+(* One domain commits while another logs in users of distinct classes,
+   first with document batches only, then with every other batch a
+   policy batch: no login is lost to a re-key, and no class is left on
+   an epoch a commit replaced. *)
+let test_logins_during_commits () =
+  let others = List.init 40 (Printf.sprintf "u%02d") in
+  let policy = conc_policy ~writers:[ "w0" ] ~others in
+  List.iter
+    (fun (what, policy_batches) ->
+      let serve = Core.Serve.create policy (conc_doc [ "w0" ]) in
+      Core.Serve.login serve ~user:"w0";
+      let toggled = ref None in
+      let commits () =
+        for k = 0 to 99 do
+          let op =
+            if k mod 2 = 0 || not policy_batches then
+              Core.Op.Doc (Op.append "/patients/w0" (item (string_of_int k)))
+            else toggle serve toggled ~path:"/patients/w0/item" ~subject:"staff"
+          in
+          commit_ok serve ~user:"w0" [ op ]
+        done
+      in
+      let logins () =
+        List.iter (fun user -> Core.Serve.login serve ~user) others
+      in
+      ignore (all_at_once [ commits; logins ]);
+      Alcotest.(check (list string))
+        (what ^ ": every user stays logged in")
+        (List.sort String.compare ("w0" :: others))
+        (Core.Serve.users serve);
+      Alcotest.(check int) (what ^ ": one class per user")
+        (1 + List.length others) (Core.Serve.classes serve);
+      Test_support.Snapshot_check.check_served what serve)
+    [ ("document batches", false); ("document and policy batches", true) ]
+
+(* Reader domains query while commits publish: every answer is what a
+   fresh login gives on one of the epochs the commits published. *)
+let test_reads_during_commits () =
+  let readers = [ "r0"; "r1" ] in
+  let policy = conc_policy ~writers:[ "w0" ] ~others:readers in
+  let serve = Core.Serve.create policy (conc_doc [ "w0" ]) in
+  let users = "w0" :: readers in
+  Core.Serve.login_many serve users;
+  let queries =
+    [ "//item"; "//node()"; "//item/node()"; "/patients/w0/item[2]";
+      "//item[node()]" ]
+  in
+  let epochs = ref [ (Core.Serve.source serve, Core.Serve.policy serve) ] in
+  let finished = Atomic.make false in
+  let commits () =
+    let toggled = ref None in
+    for k = 0 to 29 do
+      let op =
+        if k mod 3 <> 2 then
+          Core.Op.Doc (Op.append "/patients/w0" (item (string_of_int k)))
+        else toggle serve toggled ~path:"/patients/w0/item" ~subject:"r0"
+      in
+      commit_ok serve ~user:"w0" [ op ];
+      epochs := (Core.Serve.source serve, Core.Serve.policy serve) :: !epochs
+    done;
+    Atomic.set finished true;
+    []
+  in
+  let answer ids = List.map Ordpath.to_string ids in
+  let reads offset () =
+    let rec go k acc =
+      if Atomic.get finished && k > 0 then acc
+      else
+        let user = List.nth users ((k + offset) mod List.length users)
+        and q = List.nth queries (k mod List.length queries) in
+        go (k + 1) ((user, q, answer (Core.Serve.query serve ~user q)) :: acc)
+    in
+    go 0 []
+  in
+  let seen = List.concat (all_at_once [ commits; reads 0; reads 1 ]) in
+  let expected = Hashtbl.create 16 in
+  List.iter
+    (fun (doc, policy) ->
+      List.iter
+        (fun user ->
+          let fresh = Core.Session.login policy doc ~user in
+          List.iter
+            (fun q ->
+              Hashtbl.add expected (user, q) (answer (Core.Session.query fresh q)))
+            queries)
+        users)
+    !epochs;
+  List.iter
+    (fun (user, q, got) ->
+      if not (List.mem got (Hashtbl.find_all expected (user, q))) then
+        Alcotest.failf "%s's %s answered [%s], on no published epoch" user q
+          (String.concat " " got))
+    seen;
+  Alcotest.(check bool) "the readers read" true (seen <> [])
+
 let () =
   Alcotest.run "txn"
     [
@@ -664,5 +874,14 @@ let () =
             test_recovery_with_snapshots;
           Alcotest.test_case "non-downward rule paths (fallback perms)"
             `Quick test_recovery_non_downward;
+        ] );
+      ( "concurrency",
+        [
+          Alcotest.test_case "commits from four domains all publish" `Quick
+            test_concurrent_commits;
+          Alcotest.test_case "logins during commits all stay" `Quick
+            test_logins_during_commits;
+          Alcotest.test_case "reads answer on published epochs"
+            `Quick test_reads_during_commits;
         ] );
     ]
